@@ -335,6 +335,37 @@ inline int shed_helper(LocaleGrid& grid, int l, int pc, double shed,
   return best;
 }
 
+/// Per-owner element counts of one locale's scatter. Locale l's partial
+/// output lies in its column block [clo, chi), whose 1-D output owners
+/// form one contiguous window of about pr locales, so the counts cover
+/// that window instead of all num_locales() owners. Walking
+/// [first(), end()) visits owners in ascending order.
+class OwnerCounts {
+ public:
+  OwnerCounts(const BlockDist1D& d, Index clo, Index chi)
+      : first_(clo < chi ? d.owner(clo) : 0),
+        n_(clo < chi ? static_cast<std::size_t>(d.owner(chi - 1) - first_ + 1)
+                     : 0,
+           0) {}
+
+  void add(int owner) { ++n_[static_cast<std::size_t>(owner - first_)]; }
+
+  /// Elements bound for `owner`; 0 outside the window.
+  std::int64_t operator[](int owner) const {
+    const int i = owner - first_;
+    return i >= 0 && i < static_cast<int>(n_.size())
+               ? n_[static_cast<std::size_t>(i)]
+               : 0;
+  }
+
+  int first() const { return first_; }
+  int end() const { return first_ + static_cast<int>(n_.size()); }
+
+ private:
+  int first_;
+  std::vector<std::int64_t> n_;
+};
+
 template <typename TA, typename T, typename SR>
 DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
                                   const DistSparseVec<T>& x, const SR& sr,
@@ -591,9 +622,10 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
   grid.coforall_locales([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
     const auto& part = ly[l];
+    const auto& blk = a.block(l);
     // Per-wave cached host view (same hoist as the gather).
     const int self_host = remap.host(l);
-    std::vector<std::int64_t> count_to(static_cast<std::size_t>(nloc), 0);
+    OwnerCounts count_to(y.dist(), blk.clo, blk.chi);
     if (scatter_strat == SiteStrategy::kAggregated && !opt.use_collectives) {
       // Conveyor schedule: accumulate-at-owner requests ride per-peer
       // buffers; every flush is one bulk (plus header) instead of a
@@ -619,13 +651,13 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
         const Index j = part.index_at(p);
         const int o = y.dist().owner(j);
         agg.push(o, Update{j, part.value_at(p)});
-        ++count_to[o];
+        count_to.add(o);
       }
       agg.flush_all();
       CostVector c;  // local accumulation + packing of the remote batches
       c.add(CostKind::kRandAccess, static_cast<double>(count_to[l]));
       c.add(CostKind::kCpuOps, 20.0 * static_cast<double>(count_to[l]));
-      for (int o = 0; o < nloc; ++o) {
+      for (int o = count_to.first(); o < count_to.end(); ++o) {
         if (o == l || count_to[o] == 0) continue;
         if (remap.remapped() && remap.host(o) == self_host) {
           // Co-hosted owner after a degraded remap: straight local
@@ -644,9 +676,9 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
       const Index j = part.index_at(p);
       const int o = y.dist().owner(j);
       yspa[o].accumulate(j, part.value_at(p), sr.add);
-      ++count_to[o];
+      count_to.add(o);
     }
-    for (int o = 0; o < nloc; ++o) {
+    for (int o = count_to.first(); o < count_to.end(); ++o) {
       if (count_to[o] == 0) continue;
       if (opt.use_collectives && o != l) {
         continue;  // charged below as a reduce-scatter per column

@@ -281,8 +281,9 @@ std::vector<DistSparseVec<T>> spmspv_dist_multi(
   }
   grid.coforall_locales([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
+    const auto& blk = a.block(l);
     const int self_host = remap.host(l);
-    std::vector<std::int64_t> count_to(static_cast<std::size_t>(nloc), 0);
+    detail::OwnerCounts count_to(y[0].dist(), blk.clo, blk.chi);
     if (scatter_strat == SiteStrategy::kAggregated) {
       // One conveyor channel carries every lane's updates: per-peer FIFO
       // delivery keeps each lane's per-slot order, and a flush amortizes
@@ -305,14 +306,14 @@ std::vector<DistSparseVec<T>> spmspv_dist_multi(
           const int o = y[q].dist().owner(j);
           agg.push(o, Update{j, part.value_at(p),
                              static_cast<std::int32_t>(q)});
-          ++count_to[o];
+          count_to.add(o);
         }
       }
       agg.flush_all();
       CostVector c;
       c.add(CostKind::kRandAccess, static_cast<double>(count_to[l]));
       c.add(CostKind::kCpuOps, 20.0 * static_cast<double>(count_to[l]));
-      for (int o = 0; o < nloc; ++o) {
+      for (int o = count_to.first(); o < count_to.end(); ++o) {
         if (o == l || count_to[o] == 0) continue;
         if (remap.remapped() && remap.host(o) == self_host) {
           c.add(CostKind::kRandAccess, static_cast<double>(count_to[o]));
@@ -332,10 +333,10 @@ std::vector<DistSparseVec<T>> spmspv_dist_multi(
         const Index j = part.index_at(p);
         const int o = y[q].dist().owner(j);
         yspa[q][o].accumulate(j, part.value_at(p), sr.add);
-        ++count_to[o];
+        count_to.add(o);
       }
     }
-    for (int o = 0; o < nloc; ++o) {
+    for (int o = count_to.first(); o < count_to.end(); ++o) {
       if (count_to[o] == 0) continue;
       const bool local_dst =
           o == l || (remap.remapped() && remap.host(o) == self_host);

@@ -34,13 +34,7 @@ AggChannel::AggChannel(LocaleCtx& ctx, AggConfig cfg)
   PGB_REQUIRE(cfg_.contention >= 1.0, "contention multiplier must be >= 1");
   auto& grid = ctx.grid();
   epoch_ = grid.epoch();
-  auto& mx = grid.metrics();
-  m_messages_ = &mx.counter("agg.messages");
-  m_bytes_ = &mx.counter("agg.bytes");
-  m_path_messages_ = &mx.counter("comm.messages", {{"path", "agg"}});
-  m_resends_ = &mx.counter("agg.resends");
-  m_occ_put_ = &mx.histogram("agg.occupancy", {{"dir", "put"}});
-  m_occ_get_ = &mx.histogram("agg.occupancy", {{"dir", "get"}});
+  grid.agg_metrics();  // the first channel registers the agg.* family
 }
 
 void AggChannel::issue(int peer, double cost, std::int64_t msgs,
@@ -49,6 +43,7 @@ void AggChannel::issue(int peer, double cost, std::int64_t msgs,
   if (grid.epoch() != epoch_) return;  // constructed before a reset
   const std::int64_t seq = next_seq_++;
   const auto& hot = grid.hot();
+  const auto& m = grid.agg_metrics();
   hot.logical_messages->inc(msgs);
 
   // Consult the fault plan: a dropped/corrupted flush is re-sent under
@@ -68,7 +63,7 @@ void AggChannel::issue(int peer, double cost, std::int64_t msgs,
     if (out.stalls > 0) hot.injected_stall->inc(out.stalls);
     if (out.attempts > 1) {
       stats_.resends += out.attempts - 1;
-      m_resends_->inc(out.attempts - 1);
+      m.resends->inc(out.attempts - 1);
     }
     if (!out.delivered) {
       grid.metrics().counter("comm.undeliverable", {{"path", "agg"}}).inc();
@@ -85,12 +80,12 @@ void AggChannel::issue(int peer, double cost, std::int64_t msgs,
   // Comm-matrix attribution mirrors the two hot counters above exactly
   // (wire multiplicity included) on physical hosts, preserving the
   // matrix-totals == comm.messages/comm.bytes conservation invariant.
-  grid.comm_matrix_add("agg", ctx_.host(), grid.host_of(peer), msgs * wire,
-                       bytes * wire);
-  m_messages_->inc(msgs * wire);
-  m_bytes_->inc(bytes * wire);
-  m_path_messages_->inc(msgs * wire);
-  if (elems >= 0) (is_get ? m_occ_get_ : m_occ_put_)->observe(elems);
+  grid.comm_matrix_add(CommPath::kAgg, ctx_.host(), grid.host_of(peer),
+                       msgs * wire, bytes * wire);
+  m.messages->inc(msgs * wire);
+  m.bytes->inc(bytes * wire);
+  m.path_messages->inc(msgs * wire);
+  if (elems >= 0) (is_get ? m.occ_get : m.occ_put)->observe(elems);
 
   auto* session = grid.trace_session();
   if (session != nullptr && session->detail()) {

@@ -147,26 +147,62 @@ class AggChannel {
   /// modeled charging goes quiet).
   std::uint64_t epoch_ = 0;
   std::int64_t next_seq_ = 0;  ///< per-channel flush sequence number
-  obs::Counter* m_messages_ = nullptr;  ///< agg.messages
-  obs::Counter* m_bytes_ = nullptr;     ///< agg.bytes
-  obs::Counter* m_path_messages_ = nullptr;  ///< comm.messages{path=agg}
-  obs::Counter* m_resends_ = nullptr;        ///< agg.resends
-  obs::Histogram* m_occ_put_ = nullptr;
-  obs::Histogram* m_occ_get_ = nullptr;
+};
+
+/// Per-peer buffers of one aggregator, kept only over the span of peers
+/// it was handed: storage covers [lowest, highest] peer pushed so far,
+/// not num_locales(), so a scatter that talks to ~pr owners holds ~pr
+/// buffers and one aggregator per locale body stays O(L) per coforall
+/// instead of O(L²). The span grows geometrically at either end, so any
+/// push order is amortized O(1) per peer.
+template <typename T>
+class PeerBuffers {
+ public:
+  /// `peer`'s buffer, widening the span to cover it.
+  std::vector<T>& at(int peer) {
+    const int n = static_cast<int>(bufs_.size());
+    if (n == 0) {
+      lo_ = peer;
+    } else if (peer < lo_) {
+      // Doubling toward peer 0 (never below it) keeps a descending push
+      // order from shifting the whole span on every new peer.
+      const int grow = std::max(lo_ - peer, std::min(lo_, n));
+      bufs_.insert(bufs_.begin(), static_cast<std::size_t>(grow),
+                   std::vector<T>{});
+      lo_ -= grow;
+    }
+    if (peer - lo_ >= static_cast<int>(bufs_.size())) {
+      bufs_.resize(static_cast<std::size_t>(peer - lo_ + 1));
+    }
+    return bufs_[static_cast<std::size_t>(peer - lo_)];
+  }
+
+  /// `peer`'s buffer, or nullptr when the peer lies outside the span.
+  std::vector<T>* find(int peer) {
+    const int i = peer - lo_;
+    if (i < 0 || i >= static_cast<int>(bufs_.size())) return nullptr;
+    return &bufs_[static_cast<std::size_t>(i)];
+  }
+
+  /// Peers the span covers, ascending: [first(), end()).
+  int first() const { return lo_; }
+  int end() const { return lo_ + static_cast<int>(bufs_.size()); }
+
+ private:
+  int lo_ = 0;
+  std::vector<std::vector<T>> bufs_;
 };
 
 /// Buffered remote puts/accumulations. `deliver(peer, batch)` performs
 /// the real write on the destination's data; it runs once per flush, in
-/// per-peer FIFO order.
+/// per-peer FIFO order, and must not push into the same aggregator.
 template <typename T>
 class DstAggregator {
  public:
   using DeliverFn = std::function<void(int peer, std::vector<T>& batch)>;
 
   DstAggregator(LocaleCtx& ctx, DeliverFn deliver, AggConfig cfg = {})
-      : chan_(ctx, cfg),
-        deliver_(std::move(deliver)),
-        buf_(static_cast<std::size_t>(ctx.grid().num_locales())) {}
+      : chan_(ctx, cfg), deliver_(std::move(deliver)) {}
 
   DstAggregator(const DstAggregator&) = delete;
   DstAggregator& operator=(const DstAggregator&) = delete;
@@ -175,7 +211,7 @@ class DstAggregator {
 
   void push(int peer, T item) {
     chan_.count_push();
-    auto& b = buf_[static_cast<std::size_t>(peer)];
+    auto& b = buf_.at(peer);
     b.push_back(std::move(item));
     if (static_cast<std::int64_t>(b.size()) >= chan_.config().capacity) {
       flush(peer);
@@ -184,17 +220,18 @@ class DstAggregator {
 
   /// Ships `peer`'s buffer now, regardless of fill level.
   void flush(int peer) {
-    auto& b = buf_[static_cast<std::size_t>(peer)];
-    if (b.empty()) return;
-    chan_.flush_put(peer, static_cast<std::int64_t>(b.size() * sizeof(T)),
-                    static_cast<std::int64_t>(b.size()));
-    deliver_(peer, b);
-    b.clear();
+    auto* b = buf_.find(peer);
+    if (b == nullptr || b->empty()) return;
+    chan_.flush_put(peer, static_cast<std::int64_t>(b->size() * sizeof(T)),
+                    static_cast<std::int64_t>(b->size()));
+    deliver_(peer, *b);
+    b->clear();
   }
 
-  /// Ships every non-empty buffer and joins the in-flight transfer.
+  /// Ships every non-empty buffer, in ascending peer order, and joins
+  /// the in-flight transfer.
   void flush_all() {
-    for (int p = 0; p < static_cast<int>(buf_.size()); ++p) flush(p);
+    for (int p = buf_.first(); p < buf_.end(); ++p) flush(p);
     chan_.drain();
   }
 
@@ -203,7 +240,7 @@ class DstAggregator {
  private:
   AggChannel chan_;
   DeliverFn deliver_;
-  std::vector<std::vector<T>> buf_;
+  PeerBuffers<T> buf_;
 };
 
 /// Buffered remote gets. `T` is the request record (e.g. {output slot,
@@ -216,9 +253,7 @@ class SrcAggregator {
   using DeliverFn = std::function<void(int peer, std::vector<T>& batch)>;
 
   SrcAggregator(LocaleCtx& ctx, DeliverFn deliver, AggConfig cfg = {})
-      : chan_(ctx, cfg),
-        deliver_(std::move(deliver)),
-        buf_(static_cast<std::size_t>(ctx.grid().num_locales())) {}
+      : chan_(ctx, cfg), deliver_(std::move(deliver)) {}
 
   SrcAggregator(const SrcAggregator&) = delete;
   SrcAggregator& operator=(const SrcAggregator&) = delete;
@@ -227,7 +262,7 @@ class SrcAggregator {
 
   void get(int peer, T request) {
     chan_.count_push();
-    auto& b = buf_[static_cast<std::size_t>(peer)];
+    auto& b = buf_.at(peer);
     b.push_back(std::move(request));
     if (static_cast<std::int64_t>(b.size()) >= chan_.config().capacity) {
       flush(peer);
@@ -235,17 +270,17 @@ class SrcAggregator {
   }
 
   void flush(int peer) {
-    auto& b = buf_[static_cast<std::size_t>(peer)];
-    if (b.empty()) return;
-    const auto n = static_cast<std::int64_t>(b.size());
+    auto* b = buf_.find(peer);
+    if (b == nullptr || b->empty()) return;
+    const auto n = static_cast<std::int64_t>(b->size());
     chan_.flush_get(peer, n * static_cast<std::int64_t>(sizeof(T)),
                     n * chan_.config().resp_bytes_each, n);
-    deliver_(peer, b);
-    b.clear();
+    deliver_(peer, *b);
+    b->clear();
   }
 
   void flush_all() {
-    for (int p = 0; p < static_cast<int>(buf_.size()); ++p) flush(p);
+    for (int p = buf_.first(); p < buf_.end(); ++p) flush(p);
     chan_.drain();
   }
 
@@ -254,7 +289,7 @@ class SrcAggregator {
  private:
   AggChannel chan_;
   DeliverFn deliver_;
-  std::vector<std::vector<T>> buf_;
+  PeerBuffers<T> buf_;
 };
 
 }  // namespace pgb

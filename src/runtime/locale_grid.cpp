@@ -36,7 +36,7 @@ void LocaleCtx::serial_region(const CostVector& cost) {
                   region_time(grid_.model().node, cost, 1, grid_.colocated()));
 }
 
-void LocaleCtx::comm_event(const char* path, int peer, std::int64_t msgs,
+void LocaleCtx::comm_event(CommPath path, int peer, std::int64_t msgs,
                            std::int64_t bytes, std::int64_t bulks) {
   const auto& hot = grid_.hot();
   hot.messages->inc(msgs);
@@ -46,17 +46,18 @@ void LocaleCtx::comm_event(const char* path, int peer, std::int64_t msgs,
   // bytes, once per wire attempt) and keys on *physical* hosts, so the
   // matrix totals stay conserved against comm.messages/comm.bytes.
   grid_.comm_matrix_add(path, host(), grid_.host_of(peer), msgs, bytes);
-  grid_.metrics().counter("comm.messages", {{"path", path}}).inc(msgs);
+  grid_.path_messages(path).inc(msgs);
   auto* session = grid_.trace_session();
   if (session != nullptr && session->detail()) {
-    session->instant(locale_, std::string("comm.") + path, clock().now(),
+    session->instant(locale_, std::string("comm.") + comm_path_name(path),
+                     clock().now(),
                      {{"peer", std::to_string(peer)},
                       {"messages", std::to_string(msgs)},
                       {"bytes", std::to_string(bytes)}});
   }
 }
 
-void LocaleCtx::transfer(const char* path, int peer, std::int64_t msgs,
+void LocaleCtx::transfer(CommPath path, int peer, std::int64_t msgs,
                          std::int64_t bytes, std::int64_t bulks,
                          double cost) {
   const auto& hot = grid_.hot();
@@ -89,7 +90,9 @@ void LocaleCtx::transfer(const char* path, int peer, std::int64_t msgs,
     // A dead peer (or a total drop storm) exhausted the attempts. Data
     // movement in this process is unaffected; the failure is surfaced
     // at the next coforall dispatch, where recovery can take over.
-    grid_.metrics().counter("comm.undeliverable", {{"path", path}}).inc();
+    grid_.metrics()
+        .counter("comm.undeliverable", {{"path", comm_path_name(path)}})
+        .inc();
   }
   // Duplicates overlap the original on the wire, so only the serialized
   // attempts, injected stalls, and retry waits charge this clock.
@@ -108,7 +111,7 @@ void LocaleCtx::remote_chain(int peer, std::int64_t count,
   if (peer_h == self_h) return;  // local access: caller charges node costs
   // Each element sends one payload message after rts_per_elem dependent
   // round trips (2 one-way messages each).
-  transfer("chain", peer,
+  transfer(CommPath::kChain, peer,
            count + std::llround(static_cast<double>(count) * 2.0 *
                                 rts_per_elem),
            count * bytes_each, 0,
@@ -123,7 +126,7 @@ void LocaleCtx::remote_msgs(int peer, std::int64_t count,
   const int self_h = host();
   const int peer_h = grid_.host_of(peer);
   if (peer_h == self_h) return;
-  transfer("msgs", peer, count, count * bytes_each, 0,
+  transfer(CommPath::kMsgs, peer, count, count * bytes_each, 0,
            contention *
                grid_.net().overlapped_messages(
                    count, bytes_each, grid_.same_node(self_h, peer_h),
@@ -134,7 +137,7 @@ void LocaleCtx::remote_bulk(int peer, std::int64_t bytes) {
   const int self_h = host();
   const int peer_h = grid_.host_of(peer);
   if (peer_h == self_h) return;
-  transfer("bulk", peer, 1, bytes, 1,
+  transfer(CommPath::kBulk, peer, 1, bytes, 1,
            grid_.net().bulk(bytes, grid_.same_node(self_h, peer_h),
                             grid_.colocated()));
 }
@@ -143,7 +146,7 @@ void LocaleCtx::remote_rt(int peer, std::int64_t bytes_back) {
   const int self_h = host();
   const int peer_h = grid_.host_of(peer);
   if (peer_h == self_h) return;
-  transfer("rt", peer, 2, bytes_back, 0,
+  transfer(CommPath::kRt, peer, 2, bytes_back, 0,
            grid_.net().round_trip(bytes_back, grid_.same_node(self_h, peer_h),
                                   grid_.colocated()));
 }
@@ -240,29 +243,18 @@ double LocaleGrid::time() const {
   return t;
 }
 
+void LocaleGrid::register_agg_metrics() {
+  agg_.messages = &metrics_.counter("agg.messages");
+  agg_.bytes = &metrics_.counter("agg.bytes");
+  agg_.path_messages = &path_messages(CommPath::kAgg);
+  agg_.resends = &metrics_.counter("agg.resends");
+  agg_.occ_put = &metrics_.histogram("agg.occupancy", {{"dir", "put"}});
+  agg_.occ_get = &metrics_.histogram("agg.occupancy", {{"dir", "get"}});
+}
+
 // -- comm matrix ----------------------------------------------------------
 
 namespace {
-
-/// Path name -> index in comm_path_name order. First characters are
-/// unique across the funnel's path literals, so the hot-path dispatch is
-/// one character compare.
-int comm_path_index(const char* path) {
-  switch (path[0]) {
-    case 'a':
-      return 0;  // agg
-    case 'b':
-      return 1;  // bulk
-    case 'c':
-      return 2;  // chain
-    case 'm':
-      return 3;  // msgs
-    case 'r':
-      return 4;  // rt
-    default:
-      return -1;
-  }
-}
 
 void append_matrix_rows(std::string& out, const std::vector<std::int64_t>& m,
                         int n, int path, int npaths, bool sum_paths) {
@@ -305,10 +297,9 @@ void LocaleGrid::enable_comm_matrix() {
   comm_matrix_on_ = true;
 }
 
-void LocaleGrid::comm_matrix_add_slow(const char* path, int src, int dst,
+void LocaleGrid::comm_matrix_add_slow(CommPath path, int src, int dst,
                                       std::int64_t msgs, std::int64_t bytes) {
-  const int p = comm_path_index(path);
-  PGB_ASSERT(p >= 0, "comm matrix: unknown comm path");
+  const int p = static_cast<int>(path);
   PGB_ASSERT(src >= 0 && src < num_locales() && dst >= 0 &&
                  dst < num_locales(),
              "comm matrix: host out of range");
@@ -385,7 +376,8 @@ std::string LocaleGrid::comm_matrix_json() const {
     if (activity == 0) continue;  // quiet paths stay out of the export
     if (!first) out += ",";
     first = false;
-    out += std::string("\"") + comm_path_name(p) + "\":{\"messages\":";
+    out += std::string("\"") + comm_path_name(static_cast<CommPath>(p)) +
+           "\":{\"messages\":";
     append_matrix_rows(out, cm_msgs_, n, p, kCommPaths, /*sum_paths=*/false);
     out += ",\"bytes\":";
     append_matrix_rows(out, cm_bytes_, n, p, kCommPaths, /*sum_paths=*/false);

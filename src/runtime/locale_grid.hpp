@@ -61,6 +61,21 @@ struct CommStats {
   std::int64_t agg_flushes = 0;  ///< aggregator buffer flushes
 };
 
+/// The comm funnel's paths: which helper a wire event came through. The
+/// enum indexes the grid's cached per-path counters and the comm
+/// matrix; enumerator order is the matrix's export order.
+enum class CommPath : int { kAgg, kBulk, kChain, kMsgs, kRt };
+inline constexpr int kCommPaths = 5;
+
+/// Exported label of a path: the `path=` value of
+/// `comm.messages{path=...}`, the comm matrix's "by_path" key and the
+/// `comm.<path>` detail-trace instant name.
+inline const char* comm_path_name(CommPath p) {
+  static const char* const kNames[kCommPaths] = {"agg", "bulk", "chain",
+                                                 "msgs", "rt"};
+  return kNames[static_cast<int>(p)];
+}
+
 class LocaleGrid;
 
 /// Handle passed to per-locale bodies; provides cost-charging helpers.
@@ -127,7 +142,7 @@ class LocaleCtx {
   /// Publishes one comm event to the grid's metrics (totals + the
   /// per-path counter family) and, when a detail-level trace session is
   /// attached, records an instant event on this locale's track.
-  void comm_event(const char* path, int peer, std::int64_t msgs,
+  void comm_event(CommPath path, int peer, std::int64_t msgs,
                   std::int64_t bytes, std::int64_t bulks);
 
   /// The delivery funnel every remote_* helper ends in: counts the
@@ -137,7 +152,7 @@ class LocaleCtx {
   /// timeout, backoffs wait in between) and publishing retry/timeout/
   /// injection counters. Without a plan it is exactly one comm_event
   /// plus one clock advance.
-  void transfer(const char* path, int peer, std::int64_t msgs,
+  void transfer(CommPath path, int peer, std::int64_t msgs,
                 std::int64_t bytes, std::int64_t bulks, double cost);
 
   LocaleGrid& grid_;
@@ -318,17 +333,8 @@ class LocaleGrid {
   // diagonal is structurally zero and the matrix totals equal the
   // registry's comm.messages/comm.bytes counters exactly — the
   // conservation invariant the tests and CI enforce. Attribution is also
-  // kept per comm path (chain/msgs/bulk/rt/agg), the per-site dimension
-  // the exporter emits under "by_path".
-
-  /// Comm paths the matrix attributes separately (index order is the
-  /// export order).
-  static constexpr int kCommPaths = 5;
-  static const char* comm_path_name(int p) {
-    static const char* kNames[kCommPaths] = {"agg", "bulk", "chain", "msgs",
-                                             "rt"};
-    return kNames[p];
-  }
+  // kept per CommPath, the per-site dimension the exporter emits under
+  // "by_path".
 
   /// Switches matrix accumulation on (lazily allocates the dense
   /// per-path matrices). Off by default so fault-free runs pay nothing.
@@ -337,7 +343,7 @@ class LocaleGrid {
 
   /// Adds one funnel event to cell (src, dst) of `path`'s matrix; no-op
   /// while disabled. src/dst are physical hosts.
-  void comm_matrix_add(const char* path, int src, int dst, std::int64_t msgs,
+  void comm_matrix_add(CommPath path, int src, int dst, std::int64_t msgs,
                        std::int64_t bytes) {
     if (!comm_matrix_on_) return;
     comm_matrix_add_slow(path, src, dst, msgs, bytes);
@@ -420,18 +426,49 @@ class LocaleGrid {
   };
   const HotCounters& hot() const { return hot_; }
 
+  // Lazily registered handles. Unlike HotCounters these keys only exist
+  // once something used them, so each is registered on first use and
+  // cached: a run's metric key set names exactly the paths it touched,
+  // and the per-event cost after the first is a null check.
+
+  /// `comm.messages{path=P}`, registered on P's first event.
+  obs::Counter& path_messages(CommPath p) {
+    obs::Counter*& c = path_messages_[static_cast<int>(p)];
+    if (c == nullptr) {
+      c = &metrics_.counter("comm.messages", {{"path", comm_path_name(p)}});
+    }
+    return *c;
+  }
+
+  /// The aggregation layer's metrics. AggChannel's constructor registers
+  /// all six together, so a run that builds a channel exports the family
+  /// even if it never flushes.
+  struct AggMetrics {
+    obs::Counter* messages = nullptr;       ///< agg.messages
+    obs::Counter* bytes = nullptr;          ///< agg.bytes
+    obs::Counter* path_messages = nullptr;  ///< comm.messages{path=agg}
+    obs::Counter* resends = nullptr;        ///< agg.resends
+    obs::Histogram* occ_put = nullptr;      ///< agg.occupancy{dir=put}
+    obs::Histogram* occ_get = nullptr;      ///< agg.occupancy{dir=get}
+  };
+  const AggMetrics& agg_metrics() {
+    if (agg_.messages == nullptr) register_agg_metrics();
+    return agg_;
+  }
+
   // Copies would leave the copy's cached counter handles pointing into
   // the source's registry, so forbid copying. Moves are fine: the
-  // registry's node-based storage keeps every cached handle valid when
-  // ownership transfers.
+  // registry's node-based storage keeps every cached handle (hot, path
+  // and agg alike) valid when ownership transfers.
   LocaleGrid(const LocaleGrid&) = delete;
   LocaleGrid& operator=(const LocaleGrid&) = delete;
   LocaleGrid(LocaleGrid&&) = default;
   LocaleGrid& operator=(LocaleGrid&&) = default;
 
  private:
-  void comm_matrix_add_slow(const char* path, int src, int dst,
+  void comm_matrix_add_slow(CommPath path, int src, int dst,
                             std::int64_t msgs, std::int64_t bytes);
+  void register_agg_metrics();
 
   GridConfig cfg_;
   std::vector<Locale> locales_;
@@ -440,6 +477,8 @@ class LocaleGrid {
   Trace trace_;
   obs::MetricsRegistry metrics_;
   HotCounters hot_;
+  obs::Counter* path_messages_[kCommPaths] = {};
+  AggMetrics agg_;
   obs::TraceSession* trace_session_ = nullptr;
   FaultPlan* fault_plan_ = nullptr;
   RetryPolicy retry_;

@@ -5,6 +5,8 @@
 // byte-identical results across the fine / bulk / aggregated schedules.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "algo/bfs.hpp"
@@ -218,6 +220,123 @@ TEST(AggChannel, DrainIsIdempotentAndJoinsTheTail) {
   EXPECT_GT(after, before);  // the tail of the transfer was outstanding
   chan.drain();
   EXPECT_DOUBLE_EQ(g.clock(0).now(), after);
+}
+
+// ---- per-peer state only for peers in use ----
+
+TEST(PeerBuffers, SpanCoversOnlyPeersPushedTo) {
+  PeerBuffers<int> bufs;
+  EXPECT_EQ(bufs.find(0), nullptr);
+  bufs.at(600).push_back(1);
+  bufs.at(605).push_back(2);
+  bufs.at(598).push_back(3);  // below the span: grows toward peer 0
+  EXPECT_LE(bufs.first(), 598);
+  EXPECT_GE(bufs.end(), 606);
+  EXPECT_LE(bufs.end() - bufs.first(), 16);
+  EXPECT_EQ(bufs.find(0), nullptr);
+  EXPECT_EQ(bufs.find(1023), nullptr);
+  EXPECT_EQ(*bufs.find(605), (std::vector<int>{2}));
+  EXPECT_TRUE(bufs.find(601)->empty());
+}
+
+using Deliveries = std::vector<std::pair<int, std::vector<int>>>;
+
+/// Sends value i to peers[i] through a DstAggregator (puts) or a
+/// SrcAggregator (gets) on `ctx`, then flush_all(). Returns every
+/// delivery in order; `early` counts those made before flush_all().
+template <template <typename> class Agg>
+Deliveries push_all(LocaleCtx& ctx, const AggConfig& cfg,
+                    const std::vector<int>& peers, std::size_t& early,
+                    AggregatorStats& stats) {
+  Deliveries got;
+  Agg<int> agg(
+      ctx, [&](int peer, std::vector<int>& b) { got.emplace_back(peer, b); },
+      cfg);
+  for (std::size_t i = 0; i < peers.size(); ++i) {
+    if constexpr (std::is_same_v<Agg<int>, DstAggregator<int>>) {
+      agg.push(peers[i], static_cast<int>(i));
+    } else {
+      agg.get(peers[i], static_cast<int>(i));
+    }
+  }
+  early = got.size();
+  agg.flush_all();
+  stats = agg.stats();
+  return got;
+}
+
+/// Issues `flushes` directly on an AggChannel, in the given order.
+AggregatorStats replay_on_channel(LocaleCtx& ctx, const AggConfig& cfg,
+                                  std::size_t pushes,
+                                  const Deliveries& flushes, bool gets) {
+  AggChannel chan(ctx, cfg);
+  for (std::size_t i = 0; i < pushes; ++i) chan.count_push();
+  for (const auto& [peer, batch] : flushes) {
+    const auto n = static_cast<std::int64_t>(batch.size());
+    const auto bytes = n * static_cast<std::int64_t>(sizeof(int));
+    if (gets) {
+      chan.flush_get(peer, bytes, n * cfg.resp_bytes_each, n);
+    } else {
+      chan.flush_put(peer, bytes, n);
+    }
+  }
+  chan.drain();
+  return chan.stats();
+}
+
+template <template <typename> class Agg>
+void expect_order_kept_at_scale(bool gets) {
+  constexpr int kSelf = 512;
+  AggConfig cfg;
+  cfg.capacity = 3;
+  // Descending, then interleaved, including the self peer; peer 40's
+  // third element (value 10) fills its buffer and flushes it early.
+  const std::vector<int> peers = {1023, 900, kSelf, 40, 0,  0, 1023,
+                                  kSelf, 40, 900,  40, 7, 40};
+  const Deliveries expected = {
+      {40, {3, 8, 10}},  // capacity-triggered, at push time
+      // flush_all: ascending peers, each batch first-in first-out.
+      {0, {4, 5}},
+      {7, {11}},
+      {40, {12}},
+      {kSelf, {2, 7}},
+      {900, {1, 9}},
+      {1023, {0, 6}},
+  };
+
+  auto g = LocaleGrid::square(1024, 1);
+  LocaleCtx ctx(g, kSelf);
+  std::size_t early = 0;
+  AggregatorStats stats;
+  const Deliveries got = push_all<Agg>(ctx, cfg, peers, early, stats);
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(early, 1u);
+
+  // The network model sees exactly the same flush sequence as a channel
+  // driven by hand: bit-identical clock and counters.
+  auto ref = LocaleGrid::square(1024, 1);
+  LocaleCtx ref_ctx(ref, kSelf);
+  const AggregatorStats want =
+      replay_on_channel(ref_ctx, cfg, peers.size(), expected, gets);
+  EXPECT_EQ(g.clock(kSelf).now(), ref.clock(kSelf).now());
+  EXPECT_EQ(stats.pushed, want.pushed);
+  EXPECT_EQ(stats.flushes, want.flushes);
+  EXPECT_EQ(stats.local_flushes, want.local_flushes);
+  EXPECT_EQ(stats.messages, want.messages);
+  EXPECT_EQ(stats.bytes, want.bytes);
+  EXPECT_EQ(stats.resends, want.resends);
+  EXPECT_EQ(stats.local_flushes, 1);  // the self peer's one batch
+  EXPECT_EQ(g.comm_stats().messages, ref.comm_stats().messages);
+  EXPECT_EQ(g.comm_stats().bytes, ref.comm_stats().bytes);
+  EXPECT_EQ(g.comm_stats().agg_flushes, ref.comm_stats().agg_flushes);
+}
+
+TEST(DstAggregator, PeerOrderKeptAt1024Locales) {
+  expect_order_kept_at_scale<DstAggregator>(/*gets=*/false);
+}
+
+TEST(SrcAggregator, PeerOrderKeptAt1024Locales) {
+  expect_order_kept_at_scale<SrcAggregator>(/*gets=*/true);
 }
 
 TEST(CommStats, RemoteHelpersFillGridCounters) {

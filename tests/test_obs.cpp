@@ -7,6 +7,7 @@
 // flushes) coherently in the new epoch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -391,6 +392,148 @@ TEST(MetricsWiring, AggregatorPublishesOccupancyAndBytes) {
   const auto& occ = snap.values.at("agg.occupancy{dir=put}");
   EXPECT_EQ(occ.hist_count, 2);  // two full flushes of 8 elements
   EXPECT_EQ(occ.hist_sum, 16);
+}
+
+// ---------------------------------------------------------------------
+// Lazily registered handles: exact key sets, reset and move
+// ---------------------------------------------------------------------
+
+std::vector<std::string> registry_keys(const LocaleGrid& g) {
+  std::vector<std::string> keys;
+  for (const auto& [key, val] : g.metrics().snapshot().values) {
+    keys.push_back(key);
+  }
+  return keys;
+}
+
+std::vector<std::string> sorted_union(std::vector<std::string> a,
+                                      const std::vector<std::string>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  std::sort(a.begin(), a.end());
+  return a;
+}
+
+/// Registered by every grid at construction (LocaleGrid::HotCounters).
+const std::vector<std::string> kGridKeys = {
+    "agg.flushes",
+    "comm.bulks",
+    "comm.bytes",
+    "comm.logical_messages",
+    "comm.messages",
+    "comm.retries",
+    "comm.timeouts",
+    "fault.injected{kind=corrupt}",
+    "fault.injected{kind=drop}",
+    "fault.injected{kind=dup}",
+    "fault.injected{kind=stall}",
+    "runtime.barriers",
+    "runtime.coforalls",
+    "runtime.parallel_regions",
+};
+
+TEST(LazyMetrics, SpmspvKeySetPerSchedule) {
+  // Every schedule's gather builds an AggChannel and sends one domain-size
+  // round trip per remote source, so the agg.* family and path=rt are
+  // part of every SpMSpV key set. The committed profile baselines carry
+  // exactly these keys.
+  const std::vector<std::string> every = {
+      "agg.bytes",
+      "agg.messages",
+      "agg.occupancy{dir=get}",
+      "agg.occupancy{dir=put}",
+      "agg.resends",
+      "comm.messages{path=agg}",
+      "comm.messages{path=rt}",
+      "kernel.calls{kernel=spmspv_dist}",
+      "spmspv.bytes{phase=gather}",
+      "spmspv.bytes{phase=scatter}",
+      "spmspv.messages{phase=gather}",
+      "spmspv.messages{phase=scatter}",
+  };
+  const std::vector<std::pair<CommMode, std::vector<std::string>>> cases = {
+      {CommMode::kFine,
+       {"comm.messages{path=chain}", "comm.messages{path=msgs}"}},
+      {CommMode::kBulk, {"comm.messages{path=bulk}"}},
+      {CommMode::kAggregated, {}},
+      {CommMode::kAuto,
+       {"comm.messages{path=bulk}", "inspector.decisions{strategy=agg}",
+        "inspector.decisions{strategy=bulk}",
+        "inspector.site.decisions{site=spmspv.gather,strategy=bulk}",
+        "inspector.site.decisions{site=spmspv.scatter,strategy=agg}",
+        "inspector.sites"}},
+  };
+  for (const auto& [mode, extra] : cases) {
+    auto g = LocaleGrid::square(16, 4);
+    auto a = erdos_renyi_dist<double>(g, 4000, 8.0, 5);
+    auto x = random_dist_sparse_vec<double>(g, 4000, 200, 6);
+    EXPECT_EQ(registry_keys(g), kGridKeys);
+    g.reset();
+    SpmspvOptions opt;
+    opt.comm = mode;
+    auto y = spmspv_dist(a, x, arithmetic_semiring<double>(), opt);
+    EXPECT_GT(y.nnz(), 0);
+    EXPECT_EQ(registry_keys(g),
+              sorted_union(sorted_union(kGridKeys, every), extra))
+        << to_string(mode);
+  }
+}
+
+TEST(LazyMetrics, PathsAndAggFamilyRegisterOnFirstUse) {
+  auto g = LocaleGrid::square(16, 1);
+  LocaleCtx ctx(g, 0);
+  ctx.remote_bulk(1, 64);
+  ctx.remote_msgs(2, 3, 8);
+  // No aggregator was built: no agg.* family and no path=agg.
+  EXPECT_EQ(registry_keys(g),
+            sorted_union(kGridKeys, {"comm.messages{path=bulk}",
+                                     "comm.messages{path=msgs}"}));
+  { AggChannel chan(ctx, AggConfig{}); }
+  EXPECT_EQ(registry_keys(g),
+            sorted_union(kGridKeys,
+                         {"agg.bytes", "agg.messages",
+                          "agg.occupancy{dir=get}", "agg.occupancy{dir=put}",
+                          "agg.resends", "comm.messages{path=agg}",
+                          "comm.messages{path=bulk}",
+                          "comm.messages{path=msgs}"}));
+}
+
+/// One round trip and one aggregated put from locale 0 to locale 1.
+void rt_and_put(LocaleGrid& g) {
+  LocaleCtx ctx(g, 0);
+  ctx.remote_rt(1, 8);  // 2 messages
+  DstAggregator<int> agg(ctx, [](int, std::vector<int>&) {});
+  agg.push(1, 7);  // flushed at scope exit: 3 messages
+}
+
+void expect_rounds(const LocaleGrid& g, std::int64_t rounds) {
+  const MetricsSnapshot snap = g.metrics().snapshot();
+  EXPECT_EQ(snap.counter("comm.messages{path=rt}"), 2 * rounds);
+  EXPECT_EQ(snap.counter("comm.messages{path=agg}"), 3 * rounds);
+  EXPECT_EQ(snap.counter("agg.messages"), 3 * rounds);
+  EXPECT_EQ(snap.counter("comm.messages"), 5 * rounds);
+  EXPECT_EQ(snap.values.at("agg.occupancy{dir=put}").hist_count, rounds);
+}
+
+TEST(LazyMetrics, CachedHandlesFollowResetAndMove) {
+  auto g = LocaleGrid::square(16, 1);
+  rt_and_put(g);  // registers the lazy handles
+  expect_rounds(g, 1);
+  g.reset();
+  rt_and_put(g);
+  expect_rounds(g, 1);  // zeroed by the reset, then counted afresh
+  rt_and_put(g);
+  expect_rounds(g, 2);
+
+  LocaleGrid moved(std::move(g));
+  rt_and_put(moved);
+  expect_rounds(moved, 3);
+  // The cached handles point into the moved-to grid's registry.
+  EXPECT_EQ(&moved.path_messages(CommPath::kRt),
+            &moved.metrics().counter("comm.messages", {{"path", "rt"}}));
+  EXPECT_EQ(moved.agg_metrics().path_messages,
+            &moved.path_messages(CommPath::kAgg));
+  EXPECT_EQ(moved.agg_metrics().messages,
+            &moved.metrics().counter("agg.messages"));
 }
 
 // ---------------------------------------------------------------------
