@@ -1,0 +1,439 @@
+// Golden charging table for every kernel comm site.
+//
+// Each case runs one distributed kernel on a fresh grid under one comm
+// schedule and folds everything the schedule is allowed to influence
+// into one FNV-1a hash: the output content, the bits of grid.time(),
+// the comm.messages/bytes/bulks and agg.flushes totals, every
+// comm.messages{path=*} counter (key set included) and every
+// inspector.site.decisions{site=,strategy=} counter. The literals pin
+// the charges of the fine, bulk, aggregated and auto schedules on a 4x4
+// and a 2x8 grid (the non-square grid catches a swapped pr/pc fanout),
+// so a refactor of the comm-site dispatch must reproduce them bit for
+// bit. Auto cases run twice on one grid so read-only sites can hit the
+// replica cache; the degraded cases remap one logical locale onto its
+// buddy before the kernel runs. Every kernel must also produce the same
+// output under every schedule.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "core/assign.hpp"
+#include "core/assign_general.hpp"
+#include "core/extract.hpp"
+#include "core/mxv_direct.hpp"
+#include "core/ops.hpp"
+#include "core/spmspv.hpp"
+#include "core/spmspv_multi.hpp"
+#include "fault/replica.hpp"
+#include "gen/erdos_renyi.hpp"
+#include "gen/random_vec.hpp"
+
+namespace pgb {
+namespace {
+
+class Fnv {
+ public:
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= b[i];
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
+  void str(const std::string& s) { bytes(s.data(), s.size()); }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+template <typename T>
+void hash_vec(Fnv& h, const SparseVec<T>& v) {
+  h.u64(static_cast<std::uint64_t>(v.capacity()));
+  h.u64(static_cast<std::uint64_t>(v.nnz()));
+  for (Index p = 0; p < v.nnz(); ++p) {
+    h.u64(static_cast<std::uint64_t>(v.index_at(p)));
+    h.u64(std::bit_cast<std::uint64_t>(static_cast<double>(v.value_at(p))));
+  }
+}
+
+template <typename T>
+std::uint64_t output_hash(const SparseVec<T>& v) {
+  Fnv h;
+  hash_vec(h, v);
+  return h.value();
+}
+
+/// Output hash folded with everything the schedule charged.
+std::uint64_t charge_hash(const LocaleGrid& grid, std::uint64_t output) {
+  Fnv h;
+  h.u64(output);
+  h.u64(std::bit_cast<std::uint64_t>(grid.time()));
+  const CommStats cs = grid.comm_stats();
+  h.u64(static_cast<std::uint64_t>(cs.messages));
+  h.u64(static_cast<std::uint64_t>(cs.bytes));
+  h.u64(static_cast<std::uint64_t>(cs.bulks));
+  h.u64(static_cast<std::uint64_t>(cs.agg_flushes));
+  for (const auto& [key, v] : grid.metrics().snapshot().values) {
+    if (key.rfind("comm.messages{path=", 0) == 0 ||
+        key.rfind("inspector.site.decisions{", 0) == 0) {
+      h.str(key);
+      h.u64(static_cast<std::uint64_t>(v.counter));
+    }
+  }
+  return h.value();
+}
+
+struct Shape {
+  int rows;
+  int cols;
+  const char* name;
+};
+constexpr Shape kShapes[] = {{4, 4, "4x4"}, {2, 8, "2x8"}};
+
+LocaleGrid make_grid(const Shape& s) {
+  return LocaleGrid(GridConfig{.rows = s.rows,
+                               .cols = s.cols,
+                               .threads_per_locale = 4,
+                               .locales_per_node = 1,
+                               .model = MachineModel::edison()});
+}
+
+/// One schedule variant of a case.
+struct Variant {
+  const char* name;
+  CommMode comm;
+  bool bulk_gather = false;
+  bool bulk_scatter = false;
+  bool collectives = false;
+};
+const std::vector<Variant> kModes = {{"fine", CommMode::kFine},
+                                     {"bulk", CommMode::kBulk},
+                                     {"agg", CommMode::kAggregated},
+                                     {"auto", CommMode::kAuto}};
+
+SpmspvOptions options(const Variant& v) {
+  SpmspvOptions opt;
+  opt.comm = v.comm;
+  opt.bulk_gather = v.bulk_gather;
+  opt.bulk_scatter = v.bulk_scatter;
+  opt.use_collectives = v.collectives;
+  return opt;
+}
+
+/// Passes a case runs: auto twice (replica-cache hits), fixed once.
+int passes(const Variant& v) { return v.comm == CommMode::kAuto ? 2 : 1; }
+
+/// The logical locale the degraded cases remap onto its buddy. On both
+/// grids its buddy owns part of its scatter window, so the co-hosted
+/// scatter branch runs.
+constexpr int kRemapped = 7;
+
+using Golden = std::map<std::string, std::uint64_t>;
+
+/// Runs `kernel(grid, variant)` — which builds its operands, resets the
+/// grid and returns the output hash — for every shape x variant, checks
+/// each charge hash against `golden` and requires one output per shape
+/// across all variants.
+template <typename Kernel>
+void check_table(const Golden& golden, const std::vector<Variant>& variants,
+                 Kernel&& kernel) {
+  int checked = 0;
+  for (const Shape& s : kShapes) {
+    std::uint64_t first_output = 0;
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+      auto grid = make_grid(s);
+      const std::uint64_t out = kernel(grid, variants[i]);
+      const std::string key = std::string(s.name) + "/" + variants[i].name;
+      const std::uint64_t got = charge_hash(grid, out);
+      if (i == 0) first_output = out;
+      EXPECT_EQ(out, first_output)
+          << key << ": output differs from " << variants[0].name;
+      const auto it = golden.find(key);
+      if (it == golden.end()) {
+        ADD_FAILURE() << "no golden entry for " << key;
+        std::printf("      {\"%s\", 0x%016llxull},\n", key.c_str(),
+                    static_cast<unsigned long long>(got));
+        continue;
+      }
+      ++checked;
+      EXPECT_EQ(got, it->second)
+          << key << ": charges moved; got 0x" << std::hex << got;
+    }
+  }
+  EXPECT_EQ(checked, static_cast<int>(golden.size()));
+}
+
+constexpr Index kN = 2400;
+const auto kSr = arithmetic_semiring<double>();
+
+/// spmspv_dist / spmspv_dist_masked on an ER graph, optionally with one
+/// locale remapped onto its buddy.
+std::uint64_t run_spmspv(LocaleGrid& g, const Variant& v, bool masked,
+                         bool degraded) {
+  auto a = erdos_renyi_dist<double>(g, kN, 6.0, 11);
+  auto x = random_dist_sparse_vec<double>(g, kN, 240, 12);
+  auto mask = random_dist_bool_vec(g, kN, 0.5, 13);
+  g.reset();
+  if (degraded) {
+    g.remap_locale(kRemapped, replica_buddy_of(kRemapped, g.num_locales()));
+  }
+  const SpmspvOptions opt = options(v);
+  std::uint64_t out = 0;
+  for (int pass = 0; pass < passes(v); ++pass) {
+    auto y = masked ? spmspv_dist_masked(a, x, mask, MaskMode::kComplement,
+                                         kSr, opt)
+                    : spmspv_dist(a, x, kSr, opt);
+    out = output_hash(y.to_local());
+  }
+  return out;
+}
+
+/// spmspv_dist_multi over three lanes, the middle one masked.
+std::uint64_t run_multi(LocaleGrid& g, const Variant& v, bool degraded) {
+  auto a = erdos_renyi_dist<double>(g, kN, 6.0, 11);
+  auto x0 = random_dist_sparse_vec<double>(g, kN, 240, 12);
+  auto x1 = random_dist_sparse_vec<double>(g, kN, 90, 14);
+  auto x2 = random_dist_sparse_vec<double>(g, kN, 400, 15);
+  auto mask = random_dist_bool_vec(g, kN, 0.5, 13);
+  g.reset();
+  if (degraded) {
+    g.remap_locale(kRemapped, replica_buddy_of(kRemapped, g.num_locales()));
+  }
+  const SpmspvOptions opt = options(v);
+  std::uint64_t out = 0;
+  for (int pass = 0; pass < passes(v); ++pass) {
+    auto ys = spmspv_dist_multi<double, double>(
+        a, {&x0, &x1, &x2}, {nullptr, &mask, nullptr}, MaskMode::kComplement,
+        kSr, opt);
+    Fnv h;
+    for (const auto& y : ys) hash_vec(h, y.to_local());
+    out = h.value();
+  }
+  return out;
+}
+
+TEST(CommSiteGolden, SpmspvDist) {
+  std::vector<Variant> variants = kModes;
+  variants.push_back({"bulk_gather_only", CommMode::kFine, true, false});
+  variants.push_back({"bulk_scatter_only", CommMode::kFine, false, true});
+  variants.push_back({"coll_fine", CommMode::kFine, false, false, true});
+  variants.push_back({"coll_agg", CommMode::kAggregated, false, false, true});
+  variants.push_back({"coll_auto", CommMode::kAuto, false, false, true});
+  const Golden golden = {
+      {"4x4/fine", 0xa980e7c27a8a0b30ull},
+      {"4x4/bulk", 0xaa38ef15e65dc4b2ull},
+      {"4x4/agg", 0xd3ce1f2a16f4828cull},
+      {"4x4/auto", 0xb5278f8092f357e6ull},
+      {"4x4/bulk_gather_only", 0xc01a7499fb901477ull},
+      {"4x4/bulk_scatter_only", 0x0b91d6e8c152a485ull},
+      {"4x4/coll_fine", 0xd7b30d026378b8c1ull},
+      {"4x4/coll_agg", 0xd7b30d026378b8c1ull},
+      {"4x4/coll_auto", 0x9a59d1f62a7d7362ull},
+      {"2x8/fine", 0xed287af5b68e70e6ull},
+      {"2x8/bulk", 0x15d6743369f731ecull},
+      {"2x8/agg", 0xdc91ab69082c4772ull},
+      {"2x8/auto", 0x4a8d212d08b43293ull},
+      {"2x8/bulk_gather_only", 0x177a03ae7b041e68ull},
+      {"2x8/bulk_scatter_only", 0x6b0c45cc7aa5c625ull},
+      {"2x8/coll_fine", 0xa6466ab849500090ull},
+      {"2x8/coll_agg", 0xa6466ab849500090ull},
+      {"2x8/coll_auto", 0x4a5a0e5a8cbe78c0ull},
+  };
+  check_table(golden, variants, [](LocaleGrid& g, const Variant& v) {
+    return run_spmspv(g, v, /*masked=*/false, /*degraded=*/false);
+  });
+}
+
+TEST(CommSiteGolden, SpmspvDistMasked) {
+  const Golden golden = {
+      {"4x4/fine", 0xb885e19db07a38b9ull},
+      {"4x4/bulk", 0x7f54ea3d6a204cd2ull},
+      {"4x4/agg", 0xa74270035563fadfull},
+      {"4x4/auto", 0x969b137b9a7d0b95ull},
+      {"2x8/fine", 0x9dbbaa2357fde904ull},
+      {"2x8/bulk", 0xa8977094c9226f33ull},
+      {"2x8/agg", 0x4213d2f1f5f86191ull},
+      {"2x8/auto", 0xc25de3650ac64015ull},
+  };
+  check_table(golden, kModes, [](LocaleGrid& g, const Variant& v) {
+    return run_spmspv(g, v, /*masked=*/true, /*degraded=*/false);
+  });
+}
+
+TEST(CommSiteGolden, SpmspvDistMulti) {
+  const Golden golden = {
+      {"4x4/fine", 0xa109f4caedf2aa25ull},
+      {"4x4/bulk", 0xb838e191d7e1a39aull},
+      {"4x4/agg", 0x1d839849fa73a539ull},
+      {"4x4/auto", 0x4bf0e45d924b6f78ull},
+      {"2x8/fine", 0x7b07049e5680d3b8ull},
+      {"2x8/bulk", 0x8f049130973047adull},
+      {"2x8/agg", 0xf6877fdc19773a96ull},
+      {"2x8/auto", 0xe3b7835bfe188226ull},
+  };
+  check_table(golden, kModes, [](LocaleGrid& g, const Variant& v) {
+    return run_multi(g, v, /*degraded=*/false);
+  });
+}
+
+TEST(CommSiteGolden, DegradedSpmspvDist) {
+  const Golden golden = {
+      {"4x4/fine", 0x6bd726bd7ea16874ull},
+      {"4x4/bulk", 0x134ea06f8ef5db27ull},
+      {"4x4/agg", 0xfefb1bc444b21c84ull},
+      {"4x4/auto", 0x23da717201bf6ac8ull},
+      {"2x8/fine", 0xac1790cf15705f35ull},
+      {"2x8/bulk", 0x33e97b02a39d07adull},
+      {"2x8/agg", 0x747d0398510b234bull},
+      {"2x8/auto", 0x4f18b79b55d65419ull},
+  };
+  check_table(golden, kModes, [](LocaleGrid& g, const Variant& v) {
+    return run_spmspv(g, v, /*masked=*/false, /*degraded=*/true);
+  });
+}
+
+TEST(CommSiteGolden, DegradedSpmspvDistMulti) {
+  const Golden golden = {
+      {"4x4/fine", 0x65126a2d3babe5f6ull},
+      {"4x4/bulk", 0x70f72cce8f8454f8ull},
+      {"4x4/agg", 0xb27ff8846a8e9042ull},
+      {"4x4/auto", 0x184f6b5c4c337550ull},
+      {"2x8/fine", 0x46056fb0980be658ull},
+      {"2x8/bulk", 0xd9ec9a903dbe26b0ull},
+      {"2x8/agg", 0x8937647d1ab3213cull},
+      {"2x8/auto", 0x6bc5eb077fab7f65ull},
+  };
+  check_table(golden, kModes, [](LocaleGrid& g, const Variant& v) {
+    return run_multi(g, v, /*degraded=*/true);
+  });
+}
+
+TEST(CommSiteGolden, MxvDirect) {
+  const Golden golden = {
+      {"4x4/fine", 0x5c2ec4e52da357acull},
+      {"4x4/bulk", 0x252c31affc88d341ull},
+      {"4x4/agg", 0xa7a38d629cbf05f9ull},
+      {"4x4/auto", 0x865f117f262f774cull},
+      {"2x8/fine", 0x830f444e6d32efc5ull},
+      {"2x8/bulk", 0x0f6f0803c0675e9eull},
+      {"2x8/agg", 0xe59ff1f1e2f03cfeull},
+      {"2x8/auto", 0x19919c345cb837c8ull},
+  };
+  check_table(golden, kModes, [](LocaleGrid& g, const Variant& v) {
+    auto a = erdos_renyi_dist<double>(g, kN, 6.0, 11);
+    auto x = random_dist_sparse_vec<double>(g, kN, 240, 12);
+    auto mirror = make_csc_mirror(a);
+    g.reset();
+    const SpmspvOptions opt = options(v);
+    std::uint64_t out = 0;
+    for (int pass = 0; pass < passes(v); ++pass) {
+      out = output_hash(mxv_direct(a, mirror, x, kSr, opt).to_local());
+    }
+    return out;
+  });
+}
+
+TEST(CommSiteGolden, ExtractCompact) {
+  const Golden golden = {
+      {"4x4/fine", 0x2f8b12e440cdefd9ull},
+      {"4x4/bulk", 0x6217b7dc1a3dc124ull},
+      {"4x4/agg", 0x9e54d8480fe4b332ull},
+      {"4x4/auto", 0x77e5b94c8bbd8317ull},
+      {"2x8/fine", 0x2f8b12e440cdefd9ull},
+      {"2x8/bulk", 0x6217b7dc1a3dc124ull},
+      {"2x8/agg", 0x9e54d8480fe4b332ull},
+      {"2x8/auto", 0x77e5b94c8bbd8317ull},
+  };
+  check_table(golden, kModes, [](LocaleGrid& g, const Variant& v) {
+    auto x = random_dist_sparse_vec<double>(g, kN, 600, 21);
+    g.reset();
+    std::uint64_t out = 0;
+    for (int pass = 0; pass < passes(v); ++pass) {
+      out = output_hash(extract_compact(x, 300, 1900, v.comm).to_local());
+    }
+    return out;
+  });
+}
+
+TEST(CommSiteGolden, AssignIndexed) {
+  const Golden golden = {
+      {"4x4/fine", 0xba202675a6766c29ull},
+      {"4x4/bulk", 0x04804d0549a73180ull},
+      {"4x4/agg", 0x7a6f35140d3e5cf4ull},
+      {"4x4/auto", 0x7ab9e03ce773d30aull},
+      {"2x8/fine", 0xba202675a6766c29ull},
+      {"2x8/bulk", 0x04804d0549a73180ull},
+      {"2x8/agg", 0x7a6f35140d3e5cf4ull},
+      {"2x8/auto", 0x7ab9e03ce773d30aull},
+  };
+  check_table(golden, kModes, [](LocaleGrid& g, const Variant& v) {
+    constexpr Index kM = 1200;
+    auto a = random_dist_sparse_vec<double>(g, kN, 300, 22);
+    auto b = random_dist_sparse_vec<double>(g, kM, 400, 23);
+    std::vector<Index> map(static_cast<std::size_t>(kM));
+    for (Index k = 0; k < kM; ++k) {
+      map[static_cast<std::size_t>(k)] = (k * 7 + 3) % kN;  // injective
+    }
+    g.reset();
+    for (int pass = 0; pass < passes(v); ++pass) {
+      assign_indexed(a, map, b, OutputMode::kMerge, v.comm);
+    }
+    return output_hash(a.to_local());
+  });
+}
+
+TEST(CommSiteGolden, ExtractIndexed) {
+  const Golden golden = {
+      {"4x4/fine", 0xbecca04185e7e617ull},
+      {"4x4/bulk", 0xc19325f75f7a2d26ull},
+      {"4x4/agg", 0xd34e88ec4ddcb7b4ull},
+      {"4x4/auto", 0xdbbf4598d1cb1a4bull},
+      {"2x8/fine", 0xbecca04185e7e617ull},
+      {"2x8/bulk", 0xc19325f75f7a2d26ull},
+      {"2x8/agg", 0xd34e88ec4ddcb7b4ull},
+      {"2x8/auto", 0xdbbf4598d1cb1a4bull},
+  };
+  check_table(golden, kModes, [](LocaleGrid& g, const Variant& v) {
+    auto a = random_dist_sparse_vec<double>(g, kN, 600, 24);
+    std::vector<Index> map(1800);
+    for (std::size_t k = 0; k < map.size(); ++k) {
+      map[k] = static_cast<Index>((k * 37 + 11) % kN);
+    }
+    g.reset();
+    std::uint64_t out = 0;
+    for (int pass = 0; pass < passes(v); ++pass) {
+      out = output_hash(extract_indexed(a, map, v.comm).to_local());
+    }
+    return out;
+  });
+}
+
+TEST(CommSiteGolden, Assign) {
+  const Golden golden = {
+      {"4x4/fine", 0xf4105cd8d5ccfa66ull},
+      {"4x4/bulk", 0x10bff2037722fdf9ull},
+      {"4x4/agg", 0x10bff2037722fdf9ull},
+      {"4x4/auto", 0x3712e30ac94aaa5cull},
+      {"2x8/fine", 0xf4105cd8d5ccfa66ull},
+      {"2x8/bulk", 0x10bff2037722fdf9ull},
+      {"2x8/agg", 0x10bff2037722fdf9ull},
+      {"2x8/auto", 0x3712e30ac94aaa5cull},
+  };
+  check_table(golden, kModes, [](LocaleGrid& g, const Variant& v) {
+    auto a = random_dist_sparse_vec<double>(g, kN, 300, 25);
+    auto b = random_dist_sparse_vec<double>(g, kN, 500, 26);
+    g.reset();
+    for (int pass = 0; pass < passes(v); ++pass) assign(a, b, v.comm);
+    return output_hash(a.to_local());
+  });
+}
+
+}  // namespace
+}  // namespace pgb
