@@ -16,11 +16,12 @@
 //    the per-element searches.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/kernel_costs.hpp"
 #include "machine/cost.hpp"
-#include "runtime/aggregator.hpp"
+#include "runtime/comm_site.hpp"
 #include "runtime/locale_grid.hpp"
 #include "sparse/dist_sparse_vec.hpp"
 
@@ -149,38 +150,32 @@ void assign_v2(DistSparseVec<T>& a, const DistSparseVec<T>& b) {
 template <typename T>
 void assign(DistSparseVec<T>& a, const DistSparseVec<T>& b,
             CommMode comm = CommMode::kBulk) {
-  if (comm == CommMode::kAuto) {
-    detail::require_same_shape(a, b);
-    auto& grid = a.grid();
-    const int nloc = grid.num_locales();
-    SiteFootprint fp;
-    fp.bytes_each = 8;
-    fp.gather = false;
-    fp.pairs = nloc > 1 ? nloc - 1 : 0;
-    fp.max_initiator_pairs = fp.pairs;  // master drives every transfer
-    std::int64_t remote_nnz = 0;
-    for (int l = 1; l < nloc; ++l) remote_nnz += b.local(l).nnz();
-    fp.elements = remote_nnz;
-    fp.max_initiator_elements = remote_nnz;
-    const double avg =
-        fp.pairs > 0
-            ? static_cast<double>(remote_nnz) / static_cast<double>(fp.pairs)
-            : 0.0;
-    fp.chain_rts = remote_search_rts(avg) + 1.0;
-    fp.fanout = static_cast<double>(std::max<std::int64_t>(fp.pairs, 1));
-    const SiteDecision dec = grid.inspector().decide("assign.same_shape", fp);
-    if (dec.strategy == SiteStrategy::kFine) {
-      assign_v1(a, b);
-    } else {
-      assign_v2(a, b);
-    }
-    return;
-  }
-  if (comm == CommMode::kFine) {
+  detail::require_same_shape(a, b);
+  auto& grid = a.grid();
+  const int nloc = grid.num_locales();
+  const int pairs = nloc - 1;
+  CommSite site(grid,
+                {.name = "assign.same_shape",
+                 .shape = SiteShape::kRoute,
+                 .bytes_each = 8,
+                 .fanout = std::max(pairs, 1)},
+                comm, {}, [&](SiteFootprint& fp) {
+                  std::int64_t remote_nnz = 0;
+                  for (int l = 1; l < nloc; ++l) remote_nnz += b.local(l).nnz();
+                  fp.add_initiator(pairs, remote_nnz);  // the master's load
+                  fp.chain_rts =
+                      remote_search_rts(pairs > 0
+                                            ? static_cast<double>(remote_nnz) /
+                                                  static_cast<double>(pairs)
+                                            : 0.0) +
+                      1.0;
+                });
+  if (site.strategy() == SiteStrategy::kFine) {
     assign_v1(a, b);
   } else {
     assign_v2(a, b);
   }
+  site.end_wave();
 }
 
 }  // namespace pgb

@@ -18,14 +18,13 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "core/descriptor.hpp"
 #include "core/kernel_costs.hpp"
 #include "machine/cost.hpp"
 #include "obs/span.hpp"
-#include "runtime/aggregator.hpp"
+#include "runtime/comm_site.hpp"
 #include "runtime/locale_grid.hpp"
 #include "sparse/dist_sparse_vec.hpp"
 
@@ -52,91 +51,43 @@ void assign_indexed(DistSparseVec<T>& a, const std::vector<Index>& index_map,
   grid.metrics().counter("kernel.calls", {{"kernel", "assign_indexed"}}).inc();
   PGB_TRACE_SPAN(grid, "assign.indexed");
 
-  // Inspector–executor (kAuto): a write-routing site — fine/bulk/agg
-  // only (writes can't replicate). Destinations are index-map dependent,
-  // so the pair estimate is the worst case (every other locale).
-  SiteStrategy strat = comm == CommMode::kFine     ? SiteStrategy::kFine
-                       : comm == CommMode::kBulk   ? SiteStrategy::kBulk
-                                                   : SiteStrategy::kAggregated;
-  AggConfig cfg_resolved = agg_cfg;
-  if (comm == CommMode::kAuto) {
-    SiteFootprint fp;
-    fp.bytes_each = 16;
-    fp.gather = false;
-    for (int l = 0; l < nloc; ++l) {
-      const std::int64_t elems = b.local(l).nnz();
-      const std::int64_t pairs = nloc > 1 ? nloc - 1 : 0;
-      fp.pairs += pairs;
-      fp.elements += elems;
-      if (elems > fp.max_initiator_elements) {
-        fp.max_initiator_elements = elems;
-        fp.max_initiator_pairs = pairs;
-      }
-    }
-    const SiteDecision dec = grid.inspector().decide("assign.indexed", fp);
-    strat = dec.strategy;
-    cfg_resolved.capacity = dec.agg_capacity;
-  }
+  // A write-routing site: fine/bulk/agg only (writes can't replicate).
+  // Destinations depend on the index map, so under kAuto each initiator
+  // is priced against every other locale.
+  CommSite site(grid, {.name = "assign.indexed", .shape = SiteShape::kRoute},
+                comm, agg_cfg, [&](SiteFootprint& fp) {
+                  for (int l = 0; l < nloc; ++l) {
+                    fp.add_initiator(nloc - 1, b.local(l).nnz());
+                  }
+                });
 
-  // Route (target index, value) pairs to their owner locale.
+  // Route (target index, value) records to their owner locale.
+  struct Entry {
+    Index tgt;
+    T v;
+  };
   std::vector<std::vector<Index>> out_idx(static_cast<std::size_t>(nloc));
   std::vector<std::vector<T>> out_val(static_cast<std::size_t>(nloc));
   grid.coforall_locales([&](LocaleCtx& ctx) {
-    const int l = ctx.locale();
-    const auto& lb = b.local(l);
-    std::vector<std::int64_t> count_to(static_cast<std::size_t>(nloc), 0);
-    if (strat == SiteStrategy::kAggregated) {
-      // Route (target, value) records through per-destination buffers;
-      // each flush lands one batch at the owner as a single bulk.
-      struct Entry {
-        Index tgt;
-        T v;
-      };
-      DstAggregator<Entry> agg(
-          ctx,
-          [&](int peer, std::vector<Entry>& batch) {
-            for (const auto& e : batch) {
-              out_idx[static_cast<std::size_t>(peer)].push_back(e.tgt);
-              out_val[static_cast<std::size_t>(peer)].push_back(e.v);
-            }
-          },
-          cfg_resolved);
-      for (Index p = 0; p < lb.nnz(); ++p) {
-        const Index tgt =
-            index_map[static_cast<std::size_t>(lb.index_at(p))];
-        PGB_REQUIRE(tgt >= 0 && tgt < a.capacity(),
-                    "assign_indexed: index map out of range");
-        agg.push(a.owner(tgt), Entry{tgt, lb.value_at(p)});
-      }
-      agg.flush_all();
-    } else {
-      for (Index p = 0; p < lb.nnz(); ++p) {
-        const Index tgt =
-            index_map[static_cast<std::size_t>(lb.index_at(p))];
-        PGB_REQUIRE(tgt >= 0 && tgt < a.capacity(),
-                    "assign_indexed: index map out of range");
-        const int o = a.owner(tgt);
-        out_idx[static_cast<std::size_t>(o)].push_back(tgt);
-        out_val[static_cast<std::size_t>(o)].push_back(lb.value_at(p));
-        ++count_to[static_cast<std::size_t>(o)];
-      }
+    const auto& lb = b.local(ctx.locale());
+    auto out = site.scatter<Entry>(ctx, [&](int o, const Entry& e) {
+      out_idx[static_cast<std::size_t>(o)].push_back(e.tgt);
+      out_val[static_cast<std::size_t>(o)].push_back(e.v);
+    });
+    for (Index p = 0; p < lb.nnz(); ++p) {
+      const Index tgt = index_map[static_cast<std::size_t>(lb.index_at(p))];
+      PGB_REQUIRE(tgt >= 0 && tgt < a.capacity(),
+                  "assign_indexed: index map out of range");
+      out.push(a.owner(tgt), Entry{tgt, lb.value_at(p)});
     }
     CostVector c;
     c.add(CostKind::kCpuOps, kEwiseOpsPerElem * static_cast<double>(lb.nnz()));
     c.add(CostKind::kRandAccess, static_cast<double>(lb.nnz()));
     c.add(CostKind::kStreamBytes, 32.0 * static_cast<double>(lb.nnz()));
-    ctx.parallel_region(c);
-    for (int o = 0; o < nloc; ++o) {
-      if (o == l || count_to[static_cast<std::size_t>(o)] == 0) continue;
-      if (strat == SiteStrategy::kFine) {
-        // One small message per routed element (Listing-8-style).
-        ctx.remote_msgs(o, count_to[static_cast<std::size_t>(o)], 16);
-      } else if (strat == SiteStrategy::kBulk) {
-        ctx.remote_bulk(o, 16 * count_to[static_cast<std::size_t>(o)]);
-      }
-    }
+    out.finish(c);
   });
   grid.barrier_all();
+  site.end_wave();
 
   // Each owner merges its batch into the local block.
   grid.coforall_locales([&](LocaleCtx& ctx) {
@@ -204,147 +155,64 @@ DistSparseVec<T> extract_indexed(const DistSparseVec<T>& a,
   const Index zcap = static_cast<Index>(index_map.size());
   DistSparseVec<T> z(grid, zcap);
 
-  // Inspector–executor (kAuto): a read-only pull site — the natural home
-  // of kReplicate: ship each pulled-from block once per reader host,
-  // serve every pull as a local binary search, and let repeated extracts
-  // against an unchanged A hit the replica cache outright. The content
-  // fingerprint evicts a replica when A changes; a membership remap
-  // flushes them all.
-  SiteStrategy strat = comm == CommMode::kFine     ? SiteStrategy::kFine
-                       : comm == CommMode::kBulk   ? SiteStrategy::kBulk
-                                                   : SiteStrategy::kAggregated;
-  AggConfig cfg_resolved = agg_cfg;
-  Inspector* insp = nullptr;
-  if (comm == CommMode::kAuto) {
-    insp = &grid.inspector();
-    SiteFootprint fp;
-    fp.bytes_each = 24;  // 8 request + 16 response per pull
-    fp.read_only = true;
-    fp.gather = true;
-    std::int64_t a_nnz = 0;
-    for (int o = 0; o < nloc; ++o) a_nnz += a.local(o).nnz();
-    fp.chain_rts =
-        remote_search_rts(static_cast<double>(a_nnz) / std::max(1, nloc));
-    for (int l = 0; l < nloc; ++l) {
-      const std::int64_t elems = z.dist().local_size(l);
-      const std::int64_t pairs = nloc > 1 ? nloc - 1 : 0;
-      fp.pairs += pairs;
-      fp.elements += elems;
-      if (elems > fp.max_initiator_elements) {
-        fp.max_initiator_elements = elems;
-        fp.max_initiator_pairs = pairs;
-      }
-    }
-    // Replicating ships whole blocks the pulls only probe.
-    fp.block_bytes = 24 * a_nnz;
-    const SiteDecision dec = insp->decide("extract.indexed", fp);
-    strat = dec.strategy;
-    cfg_resolved.capacity = dec.agg_capacity;
-  }
+  // A read-only pull site — the natural home of kReplicate: ship each
+  // pulled-from block once per reader host, serve every pull as a local
+  // binary search, and let repeated extracts against an unchanged A hit
+  // the replica cache outright. The content fingerprint evicts a replica
+  // when A changes; a membership remap flushes them all.
+  CommSite site(
+      grid,
+      {.name = "extract.indexed",
+       .shape = SiteShape::kPull,
+       .bytes_each = 24,  // 8 request + 16 response per pull
+       .read_only = true},
+      comm, agg_cfg, [&](SiteFootprint& fp) {
+        std::int64_t a_nnz = 0;
+        for (int o = 0; o < nloc; ++o) a_nnz += a.local(o).nnz();
+        fp.chain_rts =
+            remote_search_rts(static_cast<double>(a_nnz) / std::max(1, nloc));
+        for (int l = 0; l < nloc; ++l) {
+          fp.add_initiator(nloc - 1, z.dist().local_size(l));
+        }
+        // Replicating ships whole blocks the pulls only probe.
+        fp.block_bytes = 24 * a_nnz;
+      });
 
   // For each output position k (owned by Z's distribution), look up
   // A[I[k]] at its owner.
+  struct Req {
+    Index k;
+    Index src;
+  };
   std::vector<std::vector<Index>> z_idx(static_cast<std::size_t>(nloc));
   std::vector<std::vector<T>> z_val(static_cast<std::size_t>(nloc));
   grid.coforall_locales([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
-    std::vector<std::int64_t> pulls_from(static_cast<std::size_t>(nloc), 0);
-    if (strat == SiteStrategy::kAggregated) {
-      // Buffered gets: a request records the output slot and the remote
-      // index; a flush ships the request batch and pulls the response
-      // batch. Results arrive per-peer batched, so sort at the end.
-      struct Req {
-        Index k;
-        Index src;
-      };
-      AggConfig cfg = cfg_resolved;
-      cfg.resp_bytes_each = 16;  // (found flag + value) per request
-      SrcAggregator<Req> agg(
-          ctx,
-          [&](int peer, std::vector<Req>& batch) {
-            for (const auto& r : batch) {
-              const T* v = a.local(peer).find(r.src);
-              if (v != nullptr) {
-                z_idx[static_cast<std::size_t>(l)].push_back(r.k);
-                z_val[static_cast<std::size_t>(l)].push_back(*v);
-              }
-            }
-          },
-          cfg);
-      for (Index k = z.dist().lo(l); k < z.dist().hi(l); ++k) {
-        const Index src = index_map[static_cast<std::size_t>(k)];
-        PGB_REQUIRE(src >= 0 && src < a.capacity(),
-                    "extract_indexed: index map out of range");
-        const int o = a.owner(src);
-        ++pulls_from[static_cast<std::size_t>(o)];
-        agg.get(o, Req{k, src});
+    auto& zi = z_idx[static_cast<std::size_t>(l)];
+    auto& zv = z_val[static_cast<std::size_t>(l)];
+    auto pulls = site.pull<Req>(ctx, [&](int o, const Req& r) {
+      const T* v = a.local(o).find(r.src);
+      if (v != nullptr) {
+        zi.push_back(r.k);
+        zv.push_back(*v);
       }
-      agg.flush_all();
-      sort_pairs_by_index(z_idx[static_cast<std::size_t>(l)],
-                          z_val[static_cast<std::size_t>(l)]);
-    } else {
-      for (Index k = z.dist().lo(l); k < z.dist().hi(l); ++k) {
-        const Index src = index_map[static_cast<std::size_t>(k)];
-        PGB_REQUIRE(src >= 0 && src < a.capacity(),
-                    "extract_indexed: index map out of range");
-        const int o = a.owner(src);
-        ++pulls_from[static_cast<std::size_t>(o)];
-        const T* v = a.local(o).find(src);
-        if (v != nullptr) {
-          z_idx[static_cast<std::size_t>(l)].push_back(k);
-          z_val[static_cast<std::size_t>(l)].push_back(*v);
-        }
-      }
+    });
+    for (Index k = z.dist().lo(l); k < z.dist().hi(l); ++k) {
+      const Index src = index_map[static_cast<std::size_t>(k)];
+      PGB_REQUIRE(src >= 0 && src < a.capacity(),
+                  "extract_indexed: index map out of range");
+      pulls.get(a.owner(src), Req{k, src});
     }
     const Index span = z.dist().local_size(l);
     CostVector c;
     c.add(CostKind::kCpuOps, kAssignLookupOps * static_cast<double>(span));
-    // Local binary searches for the local fraction...
-    const double local_pulls =
-        static_cast<double>(pulls_from[static_cast<std::size_t>(l)]);
-    const double lognnz = a.local(l).nnz() > 1
-                              ? std::ceil(std::log2(static_cast<double>(
-                                    a.local(l).nnz())))
-                              : 1.0;
-    c.add(CostKind::kDependentAccess, lognnz * local_pulls);
     c.add(CostKind::kStreamBytes, 24.0 * static_cast<double>(span));
-    // ...and the selected schedule for the remote fraction (the
-    // aggregated schedule charged itself during the loop above). The
-    // replicate branch folds its local searches into the shared region
-    // `c` — a region per owner would pay the task-spawn floor per pair.
-    for (int o = 0; o < nloc; ++o) {
-      if (o == l || pulls_from[static_cast<std::size_t>(o)] == 0) continue;
-      if (strat == SiteStrategy::kReplicate) {
-        // Ship the whole block once (first pull from this owner on this
-        // host), then charge every pull as a local binary search into
-        // the replica. Cache hits charge only the searches.
-        const std::uint64_t tag = a.local(o).fingerprint();
-        if (!insp->cache_lookup("extract.indexed", o, ctx.host(), tag)) {
-          const std::int64_t bytes = 24 * a.local(o).nnz();
-          ctx.remote_rt(o, 8);
-          ctx.remote_bulk(o, bytes);
-          insp->cache_install("extract.indexed", o, ctx.host(), tag, bytes);
-        }
-        const double onnz = static_cast<double>(a.local(o).nnz());
-        const double olog = onnz > 1.0 ? std::ceil(std::log2(onnz)) : 1.0;
-        c.add(CostKind::kDependentAccess,
-              olog *
-                  static_cast<double>(pulls_from[static_cast<std::size_t>(o)]));
-      } else if (strat == SiteStrategy::kFine) {
-        // Each remote pull is a dependent binary search into the owner's
-        // sorted sparse domain (Assign1's distributed collapse).
-        ctx.remote_chain(o, pulls_from[static_cast<std::size_t>(o)],
-                         remote_search_rts(static_cast<double>(
-                             a.local(o).nnz())),
-                         16);
-      } else if (strat == SiteStrategy::kBulk) {
-        ctx.remote_bulk(o, 8 * pulls_from[static_cast<std::size_t>(o)]);
-        ctx.remote_bulk(o, 16 * pulls_from[static_cast<std::size_t>(o)]);
-      }
-    }
-    ctx.parallel_region(c);
+    pulls.finish(c, [&](int o) -> const SparseVec<T>& { return a.local(o); });
+    // Aggregated responses arrive batched per owner.
+    sort_pairs_by_index(zi, zv);
   });
   grid.barrier_all();
+  site.end_wave();
 
   for (int l = 0; l < nloc; ++l) {
     z.local(l) = SparseVec<T>::from_sorted(

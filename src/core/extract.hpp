@@ -13,7 +13,7 @@
 #include "core/kernel_costs.hpp"
 #include "machine/cost.hpp"
 #include "obs/span.hpp"
-#include "runtime/aggregator.hpp"
+#include "runtime/comm_site.hpp"
 #include "runtime/locale_grid.hpp"
 #include "sparse/dist_sparse_vec.hpp"
 #include "util/sorting.hpp"
@@ -67,83 +67,55 @@ DistSparseVec<T> extract_compact(const DistSparseVec<T>& x, Index lo,
   PGB_TRACE_SPAN(grid, "extract.compact");
   DistSparseVec<T> z(grid, hi - lo);
 
-  // Inspector–executor (kAuto): write-direction routing, so fine/bulk/
-  // agg only. Selected counts aren't known before the scan; the range
-  // fraction of x's nonzeros is the uniform estimate every candidate is
-  // priced from.
-  SiteStrategy strat = comm == CommMode::kFine     ? SiteStrategy::kFine
-                       : comm == CommMode::kBulk   ? SiteStrategy::kBulk
-                                                   : SiteStrategy::kAggregated;
-  AggConfig cfg_resolved = agg_cfg;
-  if (comm == CommMode::kAuto) {
-    SiteFootprint fp;
-    fp.bytes_each = 16;
-    fp.gather = false;
-    std::int64_t x_nnz = 0;
-    for (int l = 0; l < nloc; ++l) x_nnz += x.local(l).nnz();
-    const double frac =
-        x.capacity() > 0
-            ? static_cast<double>(hi - lo) / static_cast<double>(x.capacity())
-            : 0.0;
-    fp.elements = std::llround(static_cast<double>(x_nnz) * frac);
-    const std::int64_t pairs_per = nloc > 1 ? nloc - 1 : 0;
-    fp.pairs = static_cast<std::int64_t>(nloc) * pairs_per;
-    fp.max_initiator_pairs = pairs_per;
-    fp.max_initiator_elements =
-        (fp.elements + nloc - 1) / std::max(1, nloc);
-    const SiteDecision dec = grid.inspector().decide("extract.compact", fp);
-    strat = dec.strategy;
-    cfg_resolved.capacity = dec.agg_capacity;
-  }
+  // Selected counts aren't known before the scan: under kAuto the range
+  // fraction of x's nonzeros, split evenly over the initiators, is the
+  // load every candidate schedule is priced from.
+  CommSite site(
+      grid, {.name = "extract.compact", .shape = SiteShape::kRoute},
+      comm, agg_cfg, [&](SiteFootprint& fp) {
+        std::int64_t x_nnz = 0;
+        for (int l = 0; l < nloc; ++l) x_nnz += x.local(l).nnz();
+        const double frac = x.capacity() > 0
+                                ? static_cast<double>(hi - lo) /
+                                      static_cast<double>(x.capacity())
+                                : 0.0;
+        const std::int64_t est =
+            std::llround(static_cast<double>(x_nnz) * frac);
+        for (int l = 0; l < nloc; ++l) {
+          fp.add_initiator(nloc - 1, est / nloc + (l < est % nloc ? 1 : 0));
+        }
+      });
+  // The agg.* family is part of extract_compact's metric key set under
+  // every schedule, not only when a flush happens.
+  grid.agg_metrics();
 
+  struct Entry {
+    Index j;  ///< re-based index in [0, hi - lo)
+    T v;
+  };
   std::vector<std::vector<Index>> z_idx(static_cast<std::size_t>(nloc));
   std::vector<std::vector<T>> z_val(static_cast<std::size_t>(nloc));
   grid.coforall_locales([&](LocaleCtx& ctx) {
-    const int l = ctx.locale();
-    const auto& lx = x.local(l);
-    std::vector<std::int64_t> count_to(static_cast<std::size_t>(nloc), 0);
-    struct Entry {
-      Index j;  ///< re-based index in [0, hi - lo)
-      T v;
-    };
-    auto deliver = [&](int peer, std::vector<Entry>& batch) {
-      for (const auto& e : batch) {
-        z_idx[static_cast<std::size_t>(peer)].push_back(e.j);
-        z_val[static_cast<std::size_t>(peer)].push_back(e.v);
-      }
-    };
-    DstAggregator<Entry> agg(ctx, deliver, cfg_resolved);
+    const auto& lx = x.local(ctx.locale());
+    auto out = site.scatter<Entry>(ctx, [&](int o, const Entry& e) {
+      z_idx[static_cast<std::size_t>(o)].push_back(e.j);
+      z_val[static_cast<std::size_t>(o)].push_back(e.v);
+    });
     Index selected = 0;
     for (Index p = 0; p < lx.nnz(); ++p) {
       const Index i = lx.index_at(p);
       if (i < lo || i >= hi) continue;
       ++selected;
-      const Index j = i - lo;
-      const int o = z.dist().owner(j);
-      ++count_to[static_cast<std::size_t>(o)];
-      if (strat == SiteStrategy::kAggregated) {
-        agg.push(o, Entry{j, lx.value_at(p)});
-      } else {
-        z_idx[static_cast<std::size_t>(o)].push_back(j);
-        z_val[static_cast<std::size_t>(o)].push_back(lx.value_at(p));
-      }
+      out.push(z.dist().owner(i - lo), Entry{i - lo, lx.value_at(p)});
     }
-    agg.flush_all();
     CostVector c;
     c.add(CostKind::kCpuOps, kApplyOpsPerElem * static_cast<double>(lx.nnz()));
     c.add(CostKind::kStreamBytes, 16.0 * static_cast<double>(lx.nnz()) +
                                       24.0 * static_cast<double>(selected));
-    ctx.parallel_region(c);
-    for (int o = 0; o < nloc; ++o) {
-      if (o == l || count_to[static_cast<std::size_t>(o)] == 0) continue;
-      if (strat == SiteStrategy::kFine) {
-        ctx.remote_msgs(o, count_to[static_cast<std::size_t>(o)], 16);
-      } else if (strat == SiteStrategy::kBulk) {
-        ctx.remote_bulk(o, 16 * count_to[static_cast<std::size_t>(o)]);
-      }
-    }
+    out.finish(c);
   });
   grid.barrier_all();
+  site.end_wave();
 
   // Each new owner sorts and installs its batch (senders are visited in
   // locale order, so per-owner batches arrive nearly sorted).

@@ -45,11 +45,6 @@ inline constexpr double kSpaOpsPerRow = 60.0;
 /// SpMSpV output phase, per output nonzero.
 inline constexpr double kSpmspvOutputOps = 60.0;
 
-/// Dependent round trips of one remote *indexed* access into a sparse
-/// domain/array of nnz entries: a binary search (log2 nnz probes) plus
-/// descriptor dereferences. Used by Assign1 in distributed memory.
-double remote_search_rts(double local_nnz);
-
 /// Dependent round trips of one remote element access through a wide
 /// pointer (descriptor fetch + data fetch), no search. Used by Apply1's
 /// non-localized forall and SpMSpV's element-wise gather.

@@ -31,6 +31,7 @@
 #include "obs/span.hpp"
 #include "runtime/aggregator.hpp"
 #include "runtime/collectives.hpp"
+#include "runtime/comm_site.hpp"
 #include "runtime/locale_grid.hpp"
 #include "sparse/dist_csr.hpp"
 #include "sparse/dist_dense_vec.hpp"
@@ -82,12 +83,13 @@ struct SpmspvOptions {
   /// only modeled charging moves between clocks.
   double straggler_shed = 0.0;
 
-  bool aggregated() const { return comm == CommMode::kAggregated; }
-  bool gather_is_bulk() const {
-    return bulk_gather || comm == CommMode::kBulk;
+  /// The gather's and the scatter's schedule: a legacy per-phase flag
+  /// upgrades kFine to kBulk.
+  CommMode gather_comm() const {
+    return comm == CommMode::kFine && bulk_gather ? CommMode::kBulk : comm;
   }
-  bool scatter_is_bulk() const {
-    return bulk_scatter || comm == CommMode::kBulk;
+  CommMode scatter_comm() const {
+    return comm == CommMode::kFine && bulk_scatter ? CommMode::kBulk : comm;
   }
 
   /// Convenience for sweeps: this options set with another schedule.
@@ -335,36 +337,69 @@ inline int shed_helper(LocaleGrid& grid, int l, int pc, double shed,
   return best;
 }
 
-/// Per-owner element counts of one locale's scatter. Locale l's partial
-/// output lies in its column block [clo, chi), whose 1-D output owners
-/// form one contiguous window of about pr locales, so the counts cover
-/// that window instead of all num_locales() owners. Walking
-/// [first(), end()) visits owners in ascending order.
-class OwnerCounts {
- public:
-  OwnerCounts(const BlockDist1D& d, Index clo, Index chi)
-      : first_(clo < chi ? d.owner(clo) : 0),
-        n_(clo < chi ? static_cast<std::size_t>(d.owner(chi - 1) - first_ + 1)
-                     : 0,
-           0) {}
-
-  void add(int owner) { ++n_[static_cast<std::size_t>(owner - first_)]; }
-
-  /// Elements bound for `owner`; 0 outside the window.
-  std::int64_t operator[](int owner) const {
-    const int i = owner - first_;
-    return i >= 0 && i < static_cast<int>(n_.size())
-               ? n_[static_cast<std::size_t>(i)]
-               : 0;
+/// Adds every locale's gather load to `fp`: its pc - 1 processor-row
+/// peers, `piece(src)` elements from each.
+template <typename Piece>
+void add_row_gather_load(const LocaleGrid& grid, SiteFootprint& fp,
+                         Piece&& piece) {
+  const int pc = grid.cols();
+  for (int l = 0; l < grid.num_locales(); ++l) {
+    const int prow = grid.locale(l).row;
+    std::int64_t elems = 0;
+    for (int i = 0; i < pc; ++i) {
+      const int src = prow * pc + i;
+      if (src != l) elems += piece(src);
+    }
+    fp.add_initiator(pc - 1, elems);
   }
+}
 
-  int first() const { return first_; }
-  int end() const { return first_ + static_cast<int>(n_.size()); }
+/// Publishes one SpMSpV phase's comm traffic since `cs0` as
+/// spmspv.{messages,bytes}{phase=...}.
+inline void count_phase_comm(LocaleGrid& grid, const char* phase,
+                             const CommStats& cs0) {
+  const CommStats cs1 = grid.comm_stats();
+  grid.metrics()
+      .counter("spmspv.messages", {{"phase", phase}})
+      .inc(cs1.messages - cs0.messages);
+  grid.metrics()
+      .counter("spmspv.bytes", {{"phase", phase}})
+      .inc(cs1.bytes - cs0.bytes);
+}
 
- private:
-  int first_;
-  std::vector<std::int64_t> n_;
-};
+/// Owner-side finalize of an accumulate scatter: owner ctx.locale()
+/// turns its dense accumulator into its sorted piece of the result (the
+/// paper's denseToSparse scan), dropping entries that fail `mask`.
+template <typename T>
+SparseVec<T> finalize_owner(LocaleCtx& ctx, Spa<T>& spa, Index local_size,
+                            const DistDenseVec<std::uint8_t>* mask,
+                            MaskMode mask_mode) {
+  const int o = ctx.locale();
+  std::vector<Index>& nz = spa.nzinds();
+  merge_sort(nz);
+  std::vector<Index> idx;
+  std::vector<T> val;
+  idx.reserve(nz.size());
+  val.reserve(nz.size());
+  for (Index j : nz) {
+    if (mask != nullptr && mask_mode != MaskMode::kNone) {
+      const bool set = mask->local(o)[j] != 0;
+      if (mask_mode == MaskMode::kMask ? !set : set) continue;
+    }
+    idx.push_back(j);
+    val.push_back(spa.value(j));
+  }
+  CostVector c;
+  if (mask != nullptr) {
+    c.add(CostKind::kRandAccess, 0.25 * static_cast<double>(nz.size()));
+  }
+  c.add(CostKind::kStreamBytes, 1.0 * static_cast<double>(local_size));
+  c.add(CostKind::kStreamBytes, 24.0 * static_cast<double>(idx.size()));
+  c.add(CostKind::kCpuOps, 8.0 * static_cast<double>(idx.size()));
+  ctx.parallel_region(c);
+  return SparseVec<T>::from_sorted(local_size, std::move(idx),
+                                   std::move(val));
+}
 
 template <typename TA, typename T, typename SR>
 DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
@@ -382,59 +417,25 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
   const int nloc = grid.num_locales();
   grid.metrics().counter("kernel.calls", {{"kernel", "spmspv_dist"}}).inc();
 
-  // Logical->physical host view: after a degraded-mode remap a peer may
-  // be co-hosted with us, turning its "remote" pieces into local memory
-  // reads. Under the identity mapping remapped() is false and every
-  // branch below reduces to the original formulas bit-for-bit.
-  RemapView remap(grid.membership());
-
-  // Inspector–executor (CommMode::kAuto): each comm site records its
-  // wave's remote footprint up front and is bound to the cheapest
-  // predicted schedule; manual modes keep their hardcoded schedule
-  // (insp stays null). Collectives override every schedule, auto
-  // included. Data movement is identical either way — only charging
-  // differs — so auto's outputs are byte-identical to every manual mode.
-  Inspector* insp = (opt.comm == CommMode::kAuto && !opt.use_collectives)
-                        ? &grid.inspector()
-                        : nullptr;
-  SiteDecision gather_dec;
-  if (insp != nullptr) {
-    SiteFootprint fp;
-    fp.bytes_each = 16;
-    fp.fanout = static_cast<double>(pc);  // pc readers hit each source
-    fp.chain_rts = kRemoteElemRts + 1.0;
-    fp.read_only = true;  // x is immutable for the whole wave
-    fp.gather = true;
-    for (int l = 0; l < nloc; ++l) {
-      const int prow = grid.locale(l).row;
-      std::int64_t elems = 0;
-      std::int64_t pairs = 0;
-      for (int i = 0; i < pc; ++i) {
-        const int src = prow * pc + i;
-        if (src == l) continue;
-        ++pairs;
-        elems += x.local(src).nnz();
-      }
-      fp.pairs += pairs;
-      fp.elements += elems;
-      if (elems > fp.max_initiator_elements) {
-        fp.max_initiator_elements = elems;
-        fp.max_initiator_pairs = pairs;
-      }
-    }
-    fp.block_bytes = 16 * fp.max_initiator_elements;
-    gather_dec = insp->decide("spmspv.gather", fp);
-  }
-  const SiteStrategy gather_strat =
-      insp != nullptr          ? gather_dec.strategy
-      : opt.aggregated()       ? SiteStrategy::kAggregated
-      : opt.gather_is_bulk()   ? SiteStrategy::kBulk
-                               : SiteStrategy::kFine;
-
   // ---- Step 1: gather x along each processor row ----
+  // Every locale in a processor row pulls from the same pc sources at
+  // once, so each source serves pc requesters. Tree collectives override
+  // every schedule, kAuto included.
+  CommSite gather_site(
+      grid,
+      {.name = "spmspv.gather",
+       .shape = SiteShape::kGather,
+       .bytes_each = 16,
+       .fanout = pc,
+       .read_only = true,  // x is immutable for the whole wave
+       .chain_rts = kRemoteElemRts + 1.0,
+       .collective = opt.use_collectives},
+      opt.gather_comm(), opt.agg, [&](SiteFootprint& fp) {
+        add_row_gather_load(grid, fp,
+                            [&](int src) { return x.local(src).nnz(); });
+      });
   obs::GridSpan gather_span(grid, "spmspv.gather");
   CommStats cs0 = grid.comm_stats();
-  double t0 = grid.time();
   std::vector<SparseVec<T>> xr(nloc);
   grid.coforall_locales([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
@@ -442,70 +443,16 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
     const int prow = grid.locale(l).row;
     std::vector<Index> idx;
     std::vector<T> val;
-    // Aggregated mode: the known-size remote pieces are pulled as
-    // capacity-sized chunks through a double-buffered channel, so chunk
-    // transfers from the pc sources overlap one another.
-    AggConfig gather_cfg = opt.agg;
-    gather_cfg.contention = static_cast<double>(pc);
-    if (insp != nullptr) gather_cfg.capacity = gather_dec.agg_capacity;
-    AggChannel chan(ctx, gather_cfg);
-    // Per-wave cached host view: this locale's host is resolved once
-    // here, and per-source hosts go through the RemapView's cached
-    // table — no per-element grid.host_of() walks.
-    const int self_host = remap.host(l);
+    auto in = gather_site.gather(ctx);
     for (int i = 0; i < pc; ++i) {
       const int src = prow * pc + i;
       const auto& piece = x.local(src);
       idx.insert(idx.end(), piece.domain().indices().begin(),
                  piece.domain().indices().end());
       val.insert(val.end(), piece.values().begin(), piece.values().end());
-      const bool co_hosted = remap.remapped() && remap.host(src) == self_host;
-      if (src != l && !co_hosted && !opt.use_collectives) {
-        if (gather_strat == SiteStrategy::kReplicate) {
-          // Selective read-only replication: the source piece is shipped
-          // once per reader host through a binomial broadcast tree
-          // (depth ceil(log2(pc)) instead of pc serialized serves) and
-          // stays resident; while its content fingerprint and the
-          // membership epoch both hold, later waves read the replica for
-          // free (inspector.cache.hits). A remap flushes every replica.
-          const std::uint64_t tag = piece.fingerprint();
-          if (!insp->cache_lookup("spmspv.gather", src, self_host, tag)) {
-            const std::int64_t bytes = 16 * piece.nnz();
-            ctx.remote_rt(src, 8);
-            ctx.remote_bulk(src, bytes);
-            const int depth =
-                replication_tree_depth(static_cast<double>(pc));
-            if (depth > 1) {
-              const bool intra =
-                  grid.same_node(self_host, remap.host(src));
-              ctx.clock().advance(
-                  static_cast<double>(depth - 1) *
-                  grid.net().bulk(bytes, intra, grid.colocated()));
-            }
-            insp->cache_install("spmspv.gather", src, self_host, tag,
-                                bytes);
-          }
-          continue;
-        }
-        // Domain-size query, then the element copies. Every locale in
-        // this processor row pulls from the same pc sources at once, so
-        // each source's AM handler serves pc requesters (contention).
-        ctx.remote_rt(src, 8);
-        if (gather_strat == SiteStrategy::kAggregated) {
-          chan.get_elems(src, piece.nnz(), 16);
-        } else if (gather_strat == SiteStrategy::kBulk) {
-          // The source serves one bulk copy to each of the pc locales in
-          // this processor row, serially (no broadcast tree in the
-          // paper's runtime): receiver-side contention scales the
-          // effective transfer.
-          ctx.remote_bulk(src, 16 * piece.nnz() * pc);
-        } else {
-          ctx.remote_chain(src, piece.nnz(), kRemoteElemRts + 1.0, 16,
-                           /*contention=*/static_cast<double>(pc));
-        }
-      }
+      in.piece(src, piece.nnz(), piece);
     }
-    chan.drain();
+    in.finish();
     xr[l] = SparseVec<T>::from_sorted(blk.rhi - blk.rlo, std::move(idx),
                                       std::move(val));
   });
@@ -521,21 +468,13 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
     grid.barrier_all();
   }
   gather_span.end();
-  {
-    const CommStats cs1 = grid.comm_stats();
-    grid.metrics()
-        .counter("spmspv.messages", {{"phase", "gather"}})
-        .inc(cs1.messages - cs0.messages);
-    grid.metrics()
-        .counter("spmspv.bytes", {{"phase", "gather"}})
-        .inc(cs1.bytes - cs0.bytes);
-  }
-  if (insp != nullptr) insp->observe("spmspv.gather", grid.time() - t0);
-  grid.trace().add("gather", grid.time() - t0);
+  count_phase_comm(grid, "gather", cs0);
+  grid.trace().add("gather", gather_site.end_wave());
 
   // ---- Step 2: local multiply ----
   obs::GridSpan local_span(grid, "spmspv.local");
-  t0 = grid.time();
+  double t0 = grid.time();
+  RemapView remap(grid.membership());
   std::vector<SparseVec<T>> ly(nloc);
   grid.coforall_locales([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
@@ -577,137 +516,44 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
   local_span.end();
   grid.trace().add("local", grid.time() - t0);
 
-  // Scatter-site inspection: the partial outputs are known after the
-  // local phase; each initiator sprays its elements across ~pr owners
-  // (the owners of its column range), so pr is both the pair estimate
-  // per initiator and the receiver-side fan-in. Writes can't replicate.
-  SiteDecision scatter_dec;
-  if (insp != nullptr) {
-    SiteFootprint fp;
-    fp.bytes_each = 16;
-    fp.fanout = static_cast<double>(pr);
-    fp.gather = false;
-    // The bulk branch below spawns one packing region per destination;
-    // that task-spawn floor is what it costs over fine/agg per pair.
-    fp.bulk_pair_overhead = grid.region_floor();
-    for (int l = 0; l < nloc; ++l) {
-      const std::int64_t elems = ly[l].nnz();
-      const std::int64_t pairs =
-          std::min<std::int64_t>(nloc > 1 ? nloc - 1 : 0, pr);
-      fp.pairs += pairs;
-      fp.elements += elems;
-      if (elems > fp.max_initiator_elements) {
-        fp.max_initiator_elements = elems;
-        fp.max_initiator_pairs = pairs;
-      }
-    }
-    scatter_dec = insp->decide("spmspv.scatter", fp);
-  }
-  const SiteStrategy scatter_strat =
-      insp != nullptr          ? scatter_dec.strategy
-      : opt.aggregated()       ? SiteStrategy::kAggregated
-      : opt.scatter_is_bulk()  ? SiteStrategy::kBulk
-                               : SiteStrategy::kFine;
-
   // ---- Step 3: scatter/accumulate into the 1-D distributed output ----
+  // Each initiator sprays its partial output across the ~pr owners of its
+  // column range, and every owner drains the pr locales of one processor
+  // column at once.
+  CommSite scatter_site(
+      grid,
+      {.name = "spmspv.scatter",
+       .shape = SiteShape::kAccumulate,
+       .bytes_each = 16,
+       .fanout = pr,
+       .collective = opt.use_collectives},
+      opt.scatter_comm(), opt.agg, [&](SiteFootprint& fp) {
+        const std::int64_t pairs = std::min<std::int64_t>(nloc - 1, pr);
+        for (int l = 0; l < nloc; ++l) fp.add_initiator(pairs, ly[l].nnz());
+      });
   obs::GridSpan scatter_span(grid, "spmspv.scatter");
   cs0 = grid.comm_stats();
-  t0 = grid.time();
   DistSparseVec<T> y(grid, a.ncols());
   std::vector<Spa<T>> yspa;
   yspa.reserve(nloc);
   for (int o = 0; o < nloc; ++o) {
     yspa.emplace_back(y.dist().lo(o), y.dist().hi(o));
   }
+  struct Update {
+    Index j;
+    T v;
+  };
   grid.coforall_locales([&](LocaleCtx& ctx) {
-    const int l = ctx.locale();
-    const auto& part = ly[l];
-    const auto& blk = a.block(l);
-    // Per-wave cached host view (same hoist as the gather).
-    const int self_host = remap.host(l);
-    OwnerCounts count_to(y.dist(), blk.clo, blk.chi);
-    if (scatter_strat == SiteStrategy::kAggregated && !opt.use_collectives) {
-      // Conveyor schedule: accumulate-at-owner requests ride per-peer
-      // buffers; every flush is one bulk (plus header) instead of a
-      // message per element. Per-peer FIFO delivery keeps the per-slot
-      // accumulation order of the fine-grained path, so results are
-      // bit-identical.
-      struct Update {
-        Index j;
-        T v;
-      };
-      AggConfig cfg = opt.agg;
-      cfg.contention = static_cast<double>(pr);
-      if (insp != nullptr) cfg.capacity = scatter_dec.agg_capacity;
-      DstAggregator<Update> agg(
-          ctx,
-          [&](int peer, std::vector<Update>& batch) {
-            for (const auto& u : batch) {
-              yspa[peer].accumulate(u.j, u.v, sr.add);
-            }
-          },
-          cfg);
-      for (Index p = 0; p < part.nnz(); ++p) {
-        const Index j = part.index_at(p);
-        const int o = y.dist().owner(j);
-        agg.push(o, Update{j, part.value_at(p)});
-        count_to.add(o);
-      }
-      agg.flush_all();
-      CostVector c;  // local accumulation + packing of the remote batches
-      c.add(CostKind::kRandAccess, static_cast<double>(count_to[l]));
-      c.add(CostKind::kCpuOps, 20.0 * static_cast<double>(count_to[l]));
-      for (int o = count_to.first(); o < count_to.end(); ++o) {
-        if (o == l || count_to[o] == 0) continue;
-        if (remap.remapped() && remap.host(o) == self_host) {
-          // Co-hosted owner after a degraded remap: straight local
-          // accumulation, nothing to pack.
-          c.add(CostKind::kRandAccess, static_cast<double>(count_to[o]));
-          c.add(CostKind::kCpuOps, 20.0 * static_cast<double>(count_to[o]));
-          continue;
-        }
-        c.add(CostKind::kCpuOps, 10.0 * static_cast<double>(count_to[o]));
-        c.add(CostKind::kStreamBytes, 16.0 * static_cast<double>(count_to[o]));
-      }
-      ctx.parallel_region(c);
-      return;
-    }
+    const auto& part = ly[ctx.locale()];
+    auto out = scatter_site.scatter<Update>(
+        ctx, [&](int o, const Update& u) {
+          yspa[o].accumulate(u.j, u.v, sr.add);
+        });
     for (Index p = 0; p < part.nnz(); ++p) {
       const Index j = part.index_at(p);
-      const int o = y.dist().owner(j);
-      yspa[o].accumulate(j, part.value_at(p), sr.add);
-      count_to.add(o);
+      out.push(y.dist().owner(j), Update{j, part.value_at(p)});
     }
-    for (int o = count_to.first(); o < count_to.end(); ++o) {
-      if (count_to[o] == 0) continue;
-      if (opt.use_collectives && o != l) {
-        continue;  // charged below as a reduce-scatter per column
-      }
-      // Co-hosted owners (degraded remap) accumulate locally; identity
-      // mapping reduces this to the plain o == l test.
-      const bool local_dst =
-          o == l || (remap.remapped() && remap.host(o) == self_host);
-      if (local_dst) {
-        CostVector c;
-        c.add(CostKind::kRandAccess, static_cast<double>(count_to[o]));
-        c.add(CostKind::kCpuOps, 20.0 * static_cast<double>(count_to[o]));
-        ctx.parallel_region(c);
-      } else if (scatter_strat == SiteStrategy::kBulk) {
-        CostVector c;  // pack the destination's batch
-        c.add(CostKind::kCpuOps, 10.0 * static_cast<double>(count_to[o]));
-        c.add(CostKind::kStreamBytes, 16.0 * static_cast<double>(count_to[o]));
-        ctx.parallel_region(c);
-        // Every destination drains batches from the pr locales of one
-        // processor column, serially: receiver-side contention.
-        ctx.remote_bulk(o, 16 * count_to[o] * pr);
-      } else {
-        // One remote atomic write per element (paper Listing 8 step 3);
-        // each destination is hammered by the pr locales of one
-        // processor column at once.
-        ctx.remote_msgs(o, count_to[o], 16,
-                        /*contention=*/static_cast<double>(pr));
-      }
-    }
+    out.finish();
   });
   if (opt.use_collectives) {
     for (int c = 0; c < pc; ++c) {
@@ -718,49 +564,14 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
     }
     grid.barrier_all();
   }
-  // Finalize: every output owner converts its dense accumulator to the
-  // sparse result (the paper's denseToSparse scan).
   grid.coforall_locales([&](LocaleCtx& ctx) {
     const int o = ctx.locale();
-    auto& spa = yspa[o];
-    std::vector<Index>& nz = spa.nzinds();
-    merge_sort(nz);
-    std::vector<Index> idx;
-    std::vector<T> val;
-    idx.reserve(nz.size());
-    val.reserve(nz.size());
-    for (Index j : nz) {
-      if (mask != nullptr && mask_mode != MaskMode::kNone) {
-        const bool set = mask->local(o)[j] != 0;
-        if (mask_mode == MaskMode::kMask ? !set : set) continue;
-      }
-      idx.push_back(j);
-      val.push_back(spa.value(j));
-    }
-    CostVector c;
-    if (mask != nullptr) {
-      c.add(CostKind::kRandAccess, 0.25 * static_cast<double>(nz.size()));
-    }
-    c.add(CostKind::kStreamBytes,
-          1.0 * static_cast<double>(y.dist().local_size(o)));
-    c.add(CostKind::kStreamBytes, 24.0 * static_cast<double>(idx.size()));
-    c.add(CostKind::kCpuOps, 8.0 * static_cast<double>(idx.size()));
-    ctx.parallel_region(c);
-    y.local(o) = SparseVec<T>::from_sorted(y.dist().local_size(o),
-                                           std::move(idx), std::move(val));
+    y.local(o) = finalize_owner(ctx, yspa[o], y.dist().local_size(o), mask,
+                                mask_mode);
   });
   scatter_span.end();
-  {
-    const CommStats cs1 = grid.comm_stats();
-    grid.metrics()
-        .counter("spmspv.messages", {{"phase", "scatter"}})
-        .inc(cs1.messages - cs0.messages);
-    grid.metrics()
-        .counter("spmspv.bytes", {{"phase", "scatter"}})
-        .inc(cs1.bytes - cs0.bytes);
-  }
-  if (insp != nullptr) insp->observe("spmspv.scatter", grid.time() - t0);
-  grid.trace().add("scatter", grid.time() - t0);
+  count_phase_comm(grid, "scatter", cs0);
+  grid.trace().add("scatter", scatter_site.end_wave());
   return y;
 }
 

@@ -4,6 +4,7 @@
 // distributed-memory bottleneck.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "machine/machine_model.hpp"
@@ -54,5 +55,19 @@ class NetworkModel {
 
   NetParams p_;
 };
+
+/// Probes of one binary search into a sorted sparse domain of `nnz`
+/// entries (at least one).
+inline double search_probes(double nnz) {
+  return nnz > 1.0 ? std::ceil(std::log2(nnz)) : 1.0;
+}
+
+/// Dependent round trips of one remote *indexed* access into a sparse
+/// domain/array of nnz entries: the binary-search probes plus a
+/// descriptor fetch and the final element access. Used by Assign1 in
+/// distributed memory and by the fine schedule of indexed pulls.
+inline double remote_search_rts(double local_nnz) {
+  return search_probes(local_nnz) + 2.0;
+}
 
 }  // namespace pgb

@@ -149,49 +149,60 @@ class AggChannel {
   std::int64_t next_seq_ = 0;  ///< per-channel flush sequence number
 };
 
-/// Per-peer buffers of one aggregator, kept only over the span of peers
-/// it was handed: storage covers [lowest, highest] peer pushed so far,
-/// not num_locales(), so a scatter that talks to ~pr owners holds ~pr
-/// buffers and one aggregator per locale body stays O(L) per coforall
+/// Per-peer state of one initiator, kept only over the span of peers it
+/// touched: storage covers [lowest, highest] peer seen so far, not
+/// num_locales(), so a scatter that talks to ~pr owners holds ~pr
+/// entries and one initiator per locale body stays O(L) per coforall
 /// instead of O(L²). The span grows geometrically at either end, so any
-/// push order is amortized O(1) per peer.
-template <typename T>
-class PeerBuffers {
+/// access order is amortized O(1) per peer.
+template <typename V>
+class PeerSpan {
  public:
-  /// `peer`'s buffer, widening the span to cover it.
-  std::vector<T>& at(int peer) {
-    const int n = static_cast<int>(bufs_.size());
+  /// `peer`'s entry, widening the span to cover it.
+  V& at(int peer) {
+    const int n = static_cast<int>(vals_.size());
     if (n == 0) {
       lo_ = peer;
     } else if (peer < lo_) {
       // Doubling toward peer 0 (never below it) keeps a descending push
       // order from shifting the whole span on every new peer.
       const int grow = std::max(lo_ - peer, std::min(lo_, n));
-      bufs_.insert(bufs_.begin(), static_cast<std::size_t>(grow),
-                   std::vector<T>{});
+      vals_.insert(vals_.begin(), static_cast<std::size_t>(grow), V{});
       lo_ -= grow;
     }
-    if (peer - lo_ >= static_cast<int>(bufs_.size())) {
-      bufs_.resize(static_cast<std::size_t>(peer - lo_ + 1));
+    if (peer - lo_ >= static_cast<int>(vals_.size())) {
+      vals_.resize(static_cast<std::size_t>(peer - lo_ + 1));
     }
-    return bufs_[static_cast<std::size_t>(peer - lo_)];
+    return vals_[static_cast<std::size_t>(peer - lo_)];
   }
 
-  /// `peer`'s buffer, or nullptr when the peer lies outside the span.
-  std::vector<T>* find(int peer) {
+  /// `peer`'s entry, or nullptr when the peer lies outside the span.
+  V* find(int peer) {
     const int i = peer - lo_;
-    if (i < 0 || i >= static_cast<int>(bufs_.size())) return nullptr;
-    return &bufs_[static_cast<std::size_t>(i)];
+    if (i < 0 || i >= static_cast<int>(vals_.size())) return nullptr;
+    return &vals_[static_cast<std::size_t>(i)];
+  }
+
+  /// `peer`'s entry, or V{} when the peer lies outside the span.
+  V value(int peer) const {
+    const int i = peer - lo_;
+    return i >= 0 && i < static_cast<int>(vals_.size())
+               ? vals_[static_cast<std::size_t>(i)]
+               : V{};
   }
 
   /// Peers the span covers, ascending: [first(), end()).
   int first() const { return lo_; }
-  int end() const { return lo_ + static_cast<int>(bufs_.size()); }
+  int end() const { return lo_ + static_cast<int>(vals_.size()); }
 
  private:
   int lo_ = 0;
-  std::vector<std::vector<T>> bufs_;
+  std::vector<V> vals_;
 };
+
+/// Per-peer buffers of one aggregator.
+template <typename T>
+using PeerBuffers = PeerSpan<std::vector<T>>;
 
 /// Buffered remote puts/accumulations. `deliver(peer, batch)` performs
 /// the real write on the destination's data; it runs once per flush, in

@@ -11,12 +11,12 @@
 //
 // This header is the runtime half of that idea. Each call site registers
 // under a stable id ("spmspv.gather", "mxv.scatter", ...). Before a
-// communication wave the kernel hands the inspector the wave's *footprint*
-// — how many remote (initiator, target) pairs it will touch, how many
-// elements, the bytes/element ratio, the fan-out skew, and whether the
-// accesses are read-only — and the inspector prices every legal strategy
-// through the same NetworkModel formulas the kernels charge with,
-// returning the argmin:
+// communication wave the site's CommSite (runtime/comm_site.hpp) hands
+// the inspector the wave's *footprint* — how many remote (initiator,
+// target) pairs it will touch, how many elements, the bytes/element
+// ratio, the fan-out skew, and whether the accesses are read-only — and
+// the inspector prices every legal strategy through the same
+// NetworkModel formulas the sites charge with, returning the argmin:
 //
 //   kFine        the paper's element-by-element schedule
 //   kBulk        one hand-rolled transfer per peer
@@ -122,6 +122,18 @@ struct SiteFootprint {
   /// Read-only gathers may replicate; scatters may not.
   bool read_only = false;
   bool gather = true;
+
+  /// Folds one initiator's remote load into the wave: the totals, and the
+  /// heaviest initiator so far (the first one wins ties).
+  void add_initiator(std::int64_t initiator_pairs,
+                     std::int64_t initiator_elements) {
+    pairs += initiator_pairs;
+    elements += initiator_elements;
+    if (initiator_elements > max_initiator_elements) {
+      max_initiator_elements = initiator_elements;
+      max_initiator_pairs = initiator_pairs;
+    }
+  }
 
   /// Order-insensitive mix of the fields, used to detect a site being
   /// re-run with an identical footprint (temporal reuse).

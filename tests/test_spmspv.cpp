@@ -1,6 +1,7 @@
 // Tests for SpMSpV: the shared-memory SPA algorithm against a dense
 // reference, the distributed version against the shared-memory one across
-// grid shapes and option combinations, and the Fig 7-9 modeled shapes.
+// grid shapes and option combinations, the Fig 7-9 modeled shapes, and
+// the options the fused multi-source kernel rejects.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -8,6 +9,7 @@
 
 #include "core/ops.hpp"
 #include "core/spmspv.hpp"
+#include "core/spmspv_multi.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/random_vec.hpp"
 
@@ -299,6 +301,30 @@ TEST(SpmspvModel, BulkGatherBeatsFineGrained) {
   spmspv_dist(a, x, arithmetic_semiring<std::int64_t>(), bulk);
   const double t_bulk = grid.trace().get("gather");
   EXPECT_GT(t_fine, 10.0 * t_bulk);
+}
+
+// ---- the fused kernel rejects what only the solo kernel models ---------
+
+void run_fused(const SpmspvOptions& opt) {
+  auto grid = LocaleGrid::square(4, 2);
+  auto a = erdos_renyi_dist<double>(grid, 400, 4.0, 11);
+  auto x = random_dist_sparse_vec<double>(grid, 400, 40, 12);
+  spmspv_dist_multi<double, double>(a, {&x, &x}, {}, MaskMode::kNone,
+                                    arithmetic_semiring<double>(), opt);
+}
+
+TEST(SpmspvMultiOptions, RejectsCollectives) {
+  SpmspvOptions opt;
+  opt.use_collectives = true;
+  EXPECT_THROW(run_fused(opt), InvalidArgument);
+}
+
+TEST(SpmspvMultiOptions, RejectsStragglerShedding) {
+  // Solo waves shed a flagged straggler's multiply; a fused wave would
+  // silently not, so the same options must not mean two things.
+  SpmspvOptions opt;
+  opt.straggler_shed = 0.3;
+  EXPECT_THROW(run_fused(opt), InvalidArgument);
 }
 
 }  // namespace
