@@ -1,14 +1,20 @@
 // Tests for SpMSpV: the shared-memory SPA algorithm against a dense
 // reference, the distributed version against the shared-memory one across
-// grid shapes and option combinations, the Fig 7-9 modeled shapes, and
-// the options the fused multi-source kernel rejects.
+// grid shapes and option combinations, the Fig 7-9 modeled shapes, the
+// pinned per-component charges of the node-local kernels, and the
+// options the fused multi-source kernel rejects.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <tuple>
 #include <vector>
 
+#include "core/mxv_direct.hpp"
 #include "core/ops.hpp"
 #include "core/spmspv.hpp"
+#include "core/spmspv_cw.hpp"
 #include "core/spmspv_multi.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/random_vec.hpp"
@@ -301,6 +307,127 @@ TEST(SpmspvModel, BulkGatherBeatsFineGrained) {
   spmspv_dist(a, x, arithmetic_semiring<std::int64_t>(), bulk);
   const double t_bulk = grid.trace().get("gather");
   EXPECT_GT(t_fine, 10.0 * t_bulk);
+}
+
+// ---- pinned charges of the node-local kernels ---------------------------
+//
+// The modeled charge of each step follows the options (opt.algo, and
+// opt.sort for the SPA kernels) whatever route the host takes to the
+// sorted output. Each case pins the bits of the Trace components, of
+// grid.time() and an FNV-1a hash of the output on a block whose index
+// ranges start away from zero.
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+std::uint64_t output_hash(const SparseVec<double>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto word = [&](std::uint64_t w) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (w >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  word(static_cast<std::uint64_t>(v.capacity()));
+  word(static_cast<std::uint64_t>(v.nnz()));
+  for (Index p = 0; p < v.nnz(); ++p) {
+    word(static_cast<std::uint64_t>(v.index_at(p)));
+    word(bits(v.value_at(p)));
+  }
+  return h;
+}
+
+/// The bits of one node-local run's charges and output.
+struct LocalCharge {
+  std::uint64_t spa, sort, output, time, out;
+  bool operator==(const LocalCharge&) const = default;
+};
+
+/// Runs `kernel(ctx, trace)` on a fresh 24-thread locale.
+template <typename Kernel>
+LocalCharge local_charge(Kernel&& kernel) {
+  auto grid = LocaleGrid::single(24);
+  LocaleCtx ctx(grid, 0);
+  Trace trace;
+  const SparseVec<double> y = kernel(ctx, &trace);
+  return {bits(trace.get("spa")), bits(trace.get("sort")),
+          bits(trace.get("output")), bits(grid.time()), output_hash(y)};
+}
+
+void expect_charge(const char* name, const LocalCharge& got,
+                   const LocalCharge& want) {
+  if (got == want) return;
+  ADD_FAILURE() << name << ": charges or output moved";
+  std::printf("      {0x%016llxull, 0x%016llxull, 0x%016llxull,\n"
+              "       0x%016llxull, 0x%016llxull},  // %s\n",
+              static_cast<unsigned long long>(got.spa),
+              static_cast<unsigned long long>(got.sort),
+              static_cast<unsigned long long>(got.output),
+              static_cast<unsigned long long>(got.time),
+              static_cast<unsigned long long>(got.out), name);
+}
+
+/// nnz random entries over the global index range [lo, hi).
+SparseVec<double> block_vec(Index lo, Index hi, Index nnz,
+                            std::uint64_t seed) {
+  auto v = random_sparse_vec<double>(hi - lo, nnz, seed);
+  std::vector<Index> idx(v.domain().indices().begin(),
+                         v.domain().indices().end());
+  for (Index& i : idx) i += lo;
+  return SparseVec<double>::from_sorted(
+      hi - lo, std::move(idx),
+      std::vector<double>(v.values().begin(), v.values().end()));
+}
+
+TEST(SpmspvCharge, PinnedPerSortAndAlgo) {
+  auto dgrid = LocaleGrid::square(16, 4);
+  auto a = erdos_renyi_dist<double>(dgrid, 8000, 8.0, 31);
+  const auto mirror = make_csc_mirror(a);
+  const int l = 5;  // processor (1, 1): both ranges start at 2000
+  const auto& blk = a.block(l);
+  ASSERT_GT(blk.rlo, 0);
+  ASSERT_GT(blk.clo, 0);
+  const auto sr = arithmetic_semiring<double>();
+  const auto xr = block_vec(blk.rlo, blk.rhi, 300, 32);
+  const auto xc = block_vec(blk.clo, blk.chi, 300, 33);
+
+  auto shm = [&](SpmspvOptions opt) {
+    return local_charge([&](LocaleCtx& ctx, Trace* t) {
+      return spmspv_shm(ctx, blk.csr, blk.rlo, xr, blk.clo, blk.chi, sr, opt,
+                        t);
+    });
+  };
+  auto cw = [&](SpmspvOptions opt) {
+    return local_charge([&](LocaleCtx& ctx, Trace* t) {
+      return spmspv_columnwise(ctx, mirror.blocks[l], blk.clo, xc, blk.rlo,
+                               sr, opt, t);
+    });
+  };
+  SpmspvOptions merge;
+  SpmspvOptions radix;
+  radix.sort = SortAlgo::kRadix;
+  SpmspvOptions bucket;
+  bucket.algo = SpmspvAlgo::kBucket;
+
+  expect_charge("shm/merge", shm(merge),
+                {0x3f3ff44f1989fa9cull, 0x3f40af74e6b02a10ull,
+                 0x3f3f89f742381978ull, 0x3f58374c0a489a0dull,
+                 0x0cbcc4ced0e36f02ull});
+  expect_charge("shm/radix", shm(radix),
+                {0x3f3ff44f1989fa9cull, 0x3f3f8fe2437648d0ull,
+                 0x3f3f89f742381978ull, 0x3f57c38a27ce1739ull,
+                 0x0cbcc4ced0e36f02ull});
+  expect_charge("shm/bucket", shm(bucket),
+                {0x3f3f8da8aba28917ull, 0x0000000000000000ull,
+                 0x3f3f7ce68a7c1c73ull, 0x3f4f85479b0f52c5ull,
+                 0x0cbcc4ced0e36f02ull});
+  expect_charge("columnwise/merge", cw(merge),
+                {0x3f3ff28b5d596db0ull, 0x3f40ae7ff9f02476ull,
+                 0x3f3f89e25b43367cull, 0x3f58365b6b1f3b46ull,
+                 0xda4c6289bc3505adull});
+  expect_charge("columnwise/radix", cw(radix),
+                {0x3f3ff28b5d596db0ull, 0x3f3f8fc7718027a4ull,
+                 0x3f3f89e25b43367cull, 0x3f57c30d4a8732f4ull,
+                 0xda4c6289bc3505adull});
 }
 
 // ---- the fused kernel rejects what only the solo kernel models ---------
