@@ -6,7 +6,10 @@
 //              accumulator (dense values + isthere flags + nzinds list);
 //   2. Sort:   sort the accumulated output indices (Chapel merge sort by
 //              default — the step the paper finds dominant — or the radix
-//              sort it suggests as future work);
+//              sort it suggests as future work). This step is charged,
+//              not run: the host reads the same ascending order off the
+//              SPA's isthere flags in step 3, which costs less than
+//              building the SPA did;
 //   3. Output: build the sorted output vector from the SPA.
 //
 // Distributed memory (spmspv_dist), on the 2-D block distribution:
@@ -37,10 +40,11 @@
 #include "sparse/dist_dense_vec.hpp"
 #include "sparse/dist_sparse_vec.hpp"
 #include "sparse/spa.hpp"
-#include "util/sorting.hpp"
 
 namespace pgb {
 
+/// The sort a kSpaSort SpMSpV is charged for. It picks only the modeled
+/// cost; the host reads the sorted output off the SPA either way.
 enum class SortAlgo {
   kMerge,  ///< Chapel's parallel merge sort (paper default)
   kRadix,  ///< LSD radix sort (paper's suggested improvement [9])
@@ -59,7 +63,7 @@ enum class SpmspvAlgo {
 
 struct SpmspvOptions {
   SpmspvAlgo algo = SpmspvAlgo::kSpaSort;
-  SortAlgo sort = SortAlgo::kMerge;  ///< sort used by kSpaSort
+  SortAlgo sort = SortAlgo::kMerge;  ///< sort kSpaSort is charged for
   /// Communication schedule for gather and scatter: fine-grained
   /// element-by-element (the paper's Listing 8), one hand-rolled bulk
   /// transfer per peer, or conveyor-style aggregation (per-peer buffers
@@ -258,31 +262,29 @@ SparseVec<T> spmspv_shm(LocaleCtx& ctx, const Csr<TA>& a, Index row_lo,
   spa_span.end();
   if (trace) trace->add("spa", ctx.clock().now() - t0);
 
-  // ---- Step 2: sort the output indices ----
+  // ---- Step 2: sort the output indices (charged only) ----
   obs::LocaleSpan sort_span(ctx, "spmspv.sort");
   t0 = ctx.clock().now();
-  std::vector<Index>& nzinds = spa.nzinds();
   const CostVector sc = opt.sort == SortAlgo::kMerge
                             ? merge_sort_cost(out_nnz)
                             : radix_sort_cost(out_nnz, col_hi);
-  if (opt.sort == SortAlgo::kMerge) {
-    merge_sort(nzinds);
-  } else {
-    radix_sort(nzinds);
-  }
   // Final merge passes limit parallelism: ~8% of the sort is serial.
   ctx.parallel_region(sc.scaled(0.92));
   ctx.serial_region(sc.scaled(0.08));
   sort_span.end();
   if (trace) trace->add("sort", ctx.clock().now() - t0);
 
-  // ---- Step 3: populate the output vector ----
+  // ---- Step 3: populate the output vector in ascending index order ----
   obs::LocaleSpan output_span(ctx, "spmspv.output");
   t0 = ctx.clock().now();
-  std::vector<Index> idx(nzinds.begin(), nzinds.end());
+  std::vector<Index> idx;
   std::vector<T> val;
-  val.reserve(idx.size());
-  for (Index j : idx) val.push_back(spa.value(j));
+  idx.reserve(static_cast<std::size_t>(out_nnz));
+  val.reserve(static_cast<std::size_t>(out_nnz));
+  spa.for_each_sorted([&](Index j) {
+    idx.push_back(j);
+    val.push_back(spa.value(j));
+  });
   {
     CostVector c;
     c.add(CostKind::kCpuOps, kSpmspvOutputOps * static_cast<double>(out_nnz));
@@ -371,27 +373,26 @@ inline void count_phase_comm(LocaleGrid& grid, const char* phase,
 /// turns its dense accumulator into its sorted piece of the result (the
 /// paper's denseToSparse scan), dropping entries that fail `mask`.
 template <typename T>
-SparseVec<T> finalize_owner(LocaleCtx& ctx, Spa<T>& spa, Index local_size,
+SparseVec<T> finalize_owner(LocaleCtx& ctx, const Spa<T>& spa,
+                            Index local_size,
                             const DistDenseVec<std::uint8_t>* mask,
                             MaskMode mask_mode) {
   const int o = ctx.locale();
-  std::vector<Index>& nz = spa.nzinds();
-  merge_sort(nz);
   std::vector<Index> idx;
   std::vector<T> val;
-  idx.reserve(nz.size());
-  val.reserve(nz.size());
-  for (Index j : nz) {
+  idx.reserve(static_cast<std::size_t>(spa.nnz()));
+  val.reserve(static_cast<std::size_t>(spa.nnz()));
+  spa.for_each_sorted([&](Index j) {
     if (mask != nullptr && mask_mode != MaskMode::kNone) {
       const bool set = mask->local(o)[j] != 0;
-      if (mask_mode == MaskMode::kMask ? !set : set) continue;
+      if (mask_mode == MaskMode::kMask ? !set : set) return;
     }
     idx.push_back(j);
     val.push_back(spa.value(j));
-  }
+  });
   CostVector c;
   if (mask != nullptr) {
-    c.add(CostKind::kRandAccess, 0.25 * static_cast<double>(nz.size()));
+    c.add(CostKind::kRandAccess, 0.25 * static_cast<double>(spa.nnz()));
   }
   c.add(CostKind::kStreamBytes, 1.0 * static_cast<double>(local_size));
   c.add(CostKind::kStreamBytes, 24.0 * static_cast<double>(idx.size()));

@@ -66,25 +66,25 @@ SparseVec<T> spmspv_columnwise(LocaleCtx& ctx, const Csc<TA>& a,
   }
   if (trace) trace->add("spa", ctx.clock().now() - t0);
 
+  // The sort is charged only; the output walk below reads the indices
+  // off the SPA in ascending order (see spmspv_shm).
   t0 = ctx.clock().now();
-  std::vector<Index>& nzinds = spa.nzinds();
   const CostVector sc = opt.sort == SortAlgo::kMerge
                             ? merge_sort_cost(out_nnz)
                             : radix_sort_cost(out_nnz, row_hi);
-  if (opt.sort == SortAlgo::kMerge) {
-    merge_sort(nzinds);
-  } else {
-    radix_sort(nzinds);
-  }
   ctx.parallel_region(sc.scaled(0.92));
   ctx.serial_region(sc.scaled(0.08));
   if (trace) trace->add("sort", ctx.clock().now() - t0);
 
   t0 = ctx.clock().now();
-  std::vector<Index> idx(nzinds.begin(), nzinds.end());
+  std::vector<Index> idx;
   std::vector<T> val;
-  val.reserve(idx.size());
-  for (Index j : idx) val.push_back(spa.value(j));
+  idx.reserve(static_cast<std::size_t>(out_nnz));
+  val.reserve(static_cast<std::size_t>(out_nnz));
+  spa.for_each_sorted([&](Index j) {
+    idx.push_back(j);
+    val.push_back(spa.value(j));
+  });
   {
     CostVector c;
     c.add(CostKind::kCpuOps, kSpmspvOutputOps * static_cast<double>(out_nnz));

@@ -37,7 +37,6 @@
 #include "sparse/dist_dense_vec.hpp"
 #include "sparse/dist_sparse_vec.hpp"
 #include "sparse/spa.hpp"
-#include "util/sorting.hpp"
 
 namespace pgb {
 

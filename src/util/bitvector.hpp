@@ -1,6 +1,7 @@
 // Compact bit vector used for SPA "isthere" flags and visited sets.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -11,7 +12,8 @@ namespace pgb {
 class BitVector {
  public:
   BitVector() = default;
-  explicit BitVector(std::int64_t n) : n_(n), words_((n + 63) / 64, 0) {}
+  explicit BitVector(std::int64_t n)
+      : n_(checked_size(n)), words_(static_cast<std::size_t>((n + 63) / 64)) {}
 
   std::int64_t size() const { return n_; }
 
@@ -44,7 +46,24 @@ class BitVector {
     return c;
   }
 
+  /// Calls f(i) for every set bit i in ascending order, a word at a
+  /// time: O(size()/64 + set bits).
+  template <typename F>
+  void for_each_set(F&& f) const {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      const std::int64_t base = static_cast<std::int64_t>(w) << 6;
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        f(base + __builtin_ctzll(bits));
+      }
+    }
+  }
+
  private:
+  static std::int64_t checked_size(std::int64_t n) {
+    PGB_REQUIRE(n >= 0, "negative BitVector size");
+    return n;
+  }
+
   std::int64_t n_ = 0;
   std::vector<std::uint64_t> words_;
 };

@@ -2,11 +2,13 @@
 //
 // The paper's SpMSpV sorts the SPA's nonzero index list with Chapel's
 // parallel merge sort and observes that sorting dominates; it suggests an
-// integer radix sort would be cheaper. Both are implemented here so the
-// ablation bench (abl_spmspv_sort) can compare them. These routines do the
-// real work; the *parallel time* each would take on the modeled machine is
-// charged by the caller via pgb::machine cost formulas, keeping algorithm
-// and performance model in one place per kernel.
+// integer radix sort would be cheaper. The SpMSpV kernels charge either
+// sort (merge_sort_cost / radix_sort_cost in core/kernel_costs.hpp) but
+// run neither: a SPA built for one output yields its sorted index list
+// from its isthere flags (Spa::for_each_sorted) for less. The routines
+// here sort where such a walk would not pay — mxm_local's SPA is reset
+// per row, so a walk would cost ncols/64 per row — and where no bitmap
+// exists, as in sparse-vector construction from unordered pairs.
 #pragma once
 
 #include <cstdint>

@@ -189,6 +189,49 @@ TEST(BitVector, ResetAllClearsEverything) {
   EXPECT_EQ(b.popcount(), 0);
 }
 
+TEST(BitVector, RejectsNegativeSize) {
+  EXPECT_THROW(BitVector(-1), InvalidArgument);
+  EXPECT_EQ(BitVector(0).size(), 0);
+}
+
+/// The set bits of b in ascending order, one get() at a time.
+std::vector<std::int64_t> set_bits_by_get(const BitVector& b) {
+  std::vector<std::int64_t> out;
+  for (std::int64_t i = 0; i < b.size(); ++i) {
+    if (b.get(i)) out.push_back(i);
+  }
+  return out;
+}
+
+std::vector<std::int64_t> set_bits_by_walk(const BitVector& b) {
+  std::vector<std::int64_t> out;
+  b.for_each_set([&](std::int64_t i) { out.push_back(i); });
+  return out;
+}
+
+TEST(BitVector, ForEachSetWalksAscending) {
+  std::mt19937_64 rng(5);
+  for (std::int64_t n : {1, 63, 64, 65, 130, 2048, 12500}) {
+    SCOPED_TRACE(n);
+    BitVector b(n);
+    EXPECT_TRUE(set_bits_by_walk(b).empty());
+    // Word-boundary bits, then a random fill on top.
+    for (std::int64_t i : {std::int64_t{0}, std::int64_t{63},
+                           std::int64_t{64}, n - 1}) {
+      if (i < n) b.set(i);
+    }
+    EXPECT_EQ(set_bits_by_walk(b), set_bits_by_get(b));
+    for (std::int64_t k = 0; k < n / 3; ++k) {
+      b.set(static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(n)));
+    }
+    EXPECT_EQ(set_bits_by_walk(b), set_bits_by_get(b));
+    for (std::int64_t i = 0; i < n; ++i) b.set(i);
+    const auto all = set_bits_by_walk(b);
+    ASSERT_EQ(static_cast<std::int64_t>(all.size()), n);
+    EXPECT_EQ(all, set_bits_by_get(b));
+  }
+}
+
 TEST(Cli, ParsesEqualsAndSpaceForms) {
   const char* argv[] = {"prog", "--n=100", "--d", "16", "--flag"};
   Cli cli(5, const_cast<char**>(argv));
