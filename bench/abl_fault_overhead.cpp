@@ -135,10 +135,12 @@ int main(int argc, char** argv) {
     // Checkpoint cadence sweep, fault-free: pure snapshot overhead.
     for (int k : {8, 4, 2, 1}) {
       grid.reset();
-      RecoveryOptions ropt;
+      ResilienceOptions ropt;
+      ropt.policy = RecoveryPolicy::kRollback;
       ropt.checkpoint_every = k;
       RecoveryReport rs;
-      const BfsResult res = bfs_with_recovery(a, 0, {}, nullptr, ropt, &rs);
+      const BfsResult res =
+          run_resilient(grid, nullptr, bfs_recovery_loop(a, 0, {}), ropt, &rs);
       record("ckpt-" + std::to_string(k), res, base, base_time, &rs);
     }
 
@@ -161,10 +163,12 @@ int main(int argc, char** argv) {
       FaultPlan plan(FaultSpec::parse("kill:locale=1,at=" +
                                       std::to_string(base_time * 0.5)),
                      fault_seed);
-      RecoveryOptions ropt;
+      ResilienceOptions ropt;
+      ropt.policy = RecoveryPolicy::kRollback;
       ropt.checkpoint_every = 4;
       RecoveryReport rs;
-      const BfsResult res = bfs_with_recovery(a, 0, {}, &plan, ropt, &rs);
+      const BfsResult res =
+          run_resilient(grid, &plan, bfs_recovery_loop(a, 0, {}), ropt, &rs);
       record("kill+recover", res, base, base_time, &rs);
     }
   }

@@ -76,8 +76,7 @@ RunStats run_leg(int nodes, Index n, std::uint64_t seed, double offered_qps,
   cfg.spmspv.comm = CommMode::kAggregated;
   if (plan != nullptr) {
     cfg.plan = plan;
-    cfg.rebuild.mode = RebuildMode::kDegraded;
-    cfg.rebuild.keep_membership = true;
+    cfg.resilience.keep_membership = true;
     cfg.report = &report;
   }
   GraphService svc(grid, cfg);

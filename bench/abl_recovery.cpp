@@ -166,7 +166,8 @@ int main(int argc, char** argv) {
     {
       grid.reset();
       RecoveryReport rs;
-      const BfsResult res = bfs_with_rebuild(a, 0, {}, nullptr, {}, &rs);
+      const BfsResult res = run_resilient(
+          grid, nullptr, bfs_recovery_loop(a, 0, {}), ResilienceOptions{}, &rs);
       repl = record("replication", same_result(res, bfs_base), bfs_time, &rs);
     }
 
@@ -178,6 +179,7 @@ int main(int argc, char** argv) {
     const double pr_time = grid.time();
     record("pr-baseline", true, pr_time, nullptr);
     const double kill_at = pr_time * 0.6;
+    const auto pr_loop = pagerank_recovery_loop(a, damping, tol, max_iters);
     auto kill_spec = [&] {
       return FaultSpec::parse("kill:locale=1,at=" + std::to_string(kill_at));
     };
@@ -188,11 +190,11 @@ int main(int argc, char** argv) {
     {
       grid.reset();
       FaultPlan plan(kill_spec(), fault_seed);
-      RecoveryOptions ropt;
+      ResilienceOptions ropt;
+      ropt.policy = RecoveryPolicy::kRollback;
       ropt.checkpoint_every = 8;
       RecoveryReport rs;
-      const PagerankResult res =
-          pagerank_with_recovery(a, &plan, damping, tol, max_iters, ropt, &rs);
+      const PagerankResult res = run_resilient(grid, &plan, pr_loop, ropt, &rs);
       rollback = record("rollback", same_result(res, pr_base), pr_time, &rs);
     }
 
@@ -202,33 +204,28 @@ int main(int argc, char** argv) {
     {
       grid.reset();
       FaultPlan plan(kill_spec(), fault_seed);
-      RebuildOptions bopt;
-      bopt.mode = RebuildMode::kSpare;
+      ResilienceOptions bopt;
+      bopt.policy = RecoveryPolicy::kSpare;
       RecoveryReport rs;
-      const PagerankResult res =
-          pagerank_with_rebuild(a, &plan, damping, tol, max_iters, bopt, &rs);
+      const PagerankResult res = run_resilient(grid, &plan, pr_loop, bopt, &rs);
       spare = record("spare", same_result(res, pr_base), pr_time, &rs);
     }
     {
       grid.reset();
       FaultPlan plan(kill_spec(), fault_seed);
-      RebuildOptions bopt;
-      bopt.mode = RebuildMode::kDegraded;
       RecoveryReport rs;
       const PagerankResult res =
-          pagerank_with_rebuild(a, &plan, damping, tol, max_iters, bopt, &rs);
+          run_resilient(grid, &plan, pr_loop, ResilienceOptions{}, &rs);
       degraded = record("degraded", same_result(res, pr_base), pr_time, &rs);
     }
     {
       grid.reset();
       FaultPlan plan(kill_spec(), fault_seed);
-      RebuildOptions bopt;
-      bopt.mode = RebuildMode::kDegraded;
+      ResilienceOptions bopt;
       bopt.replica.scheme = ReplicaScheme::kParity;
       bopt.replica.parity_group = 4;
       RecoveryReport rs;
-      const PagerankResult res =
-          pagerank_with_rebuild(a, &plan, damping, tol, max_iters, bopt, &rs);
+      const PagerankResult res = run_resilient(grid, &plan, pr_loop, bopt, &rs);
       record("degraded-par", same_result(res, pr_base), pr_time, &rs);
     }
 

@@ -1,216 +1,231 @@
-// Recovery wrappers for the round-structured algorithms: BFS, SSSP, and
+// Snapshot contracts for the round-structured algorithms: BFS, SSSP and
 // pagerank expressed as RecoverableLoops over their *_init/*_step state
-// machines (bfs.hpp, sssp.hpp, pagerank.hpp).
+// machines (bfs.hpp, sssp.hpp, pagerank.hpp), solo and batched.
 //
-// Each algorithm has one loop *builder* (the serialization contract:
-// which blocks make up its state) shared by two drivers:
-//
-//   *_with_recovery  checkpoint rollback to a stable store
-//                    (fault/recovery.hpp) — restores everyone, replays
-//                    up to checkpoint_every rounds;
-//   *_with_rebuild   localized rebuild from in-memory replicas
-//                    (fault/rebuild.hpp) — rebuilds only the dead
-//                    locale's blocks onto a spare or, degraded, onto
-//                    its buddy host, replaying at most one round.
-//
-// A wrapper run with a null plan (or a plan whose kills never fire) is
-// the plain algorithm plus periodic checkpoint/replication charges; when
-// a locale is killed mid-run, the driver restores and re-executes the
-// lost rounds over bit-identical inputs, so the recovered result is
+// Each builder says which blocks make up the algorithm's state, carries
+// the matrix bytes a restored locale re-ships, and extracts the result.
+// Callers run the loop under any recovery policy with run_resilient
+// (fault/recovery.hpp). With a null plan (or a plan whose kills never
+// fire) that is the plain algorithm plus the policy's snapshot charges;
+// when a locale is killed mid-run, the driver restores and re-executes
+// the lost rounds over bit-identical inputs, so the recovered result is
 // bit-for-bit the fault-free result.
 #pragma once
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "algo/bfs.hpp"
 #include "algo/pagerank.hpp"
 #include "algo/sssp.hpp"
-#include "fault/rebuild.hpp"
 #include "fault/recovery.hpp"
 
 namespace pgb {
 
 /// Serialized size of the matrix's distributed blocks: what a
-/// replacement locale must re-ship from the stable store on restore
-/// (the matrix is static state, written once, never checkpointed again).
+/// replacement locale must re-ship on restore (the matrix is static
+/// state, written once, never snapshotted again).
 template <typename T>
 std::int64_t matrix_static_bytes(const DistCsr<T>& a) {
   return a.nnz() * static_cast<std::int64_t>(sizeof(Index) + sizeof(T)) +
          (a.nrows() + 1) * static_cast<std::int64_t>(sizeof(Index));
 }
 
-// -- loop builders (the per-algorithm snapshot contracts) ----------------
+// -- per-state snapshot contracts under a key prefix: the solo loops use
+//    "bfs." / "sssp.", a batch uses "bfsb.<q>." / "ssspb.<q>." per lane,
+//    so a lane's keys are the solo keys under its prefix --
+
+template <typename T>
+void save_bfs(const BfsState<T>& st, const std::string& p, Checkpoint& c) {
+  c.put_dense(p + "visited", st.visited);
+  c.put_sparse(p + "frontier", st.frontier);
+  c.put_host(p + "parent", st.res.parent);
+  c.put_host(p + "level_sizes", st.res.level_sizes);
+  c.put_scalar(p + "level", st.level);
+  c.put_scalar(p + "done", st.done);
+}
+
+template <typename T>
+BfsState<T> load_bfs(const Checkpoint& c, const std::string& p,
+                     LocaleGrid& grid, Index n) {
+  BfsState<T> st{DistDenseVec<std::uint8_t>(grid, n, 0),
+                 DistSparseVec<T>(grid, n), {}, 0, false};
+  c.get_dense(p + "visited", st.visited);
+  c.get_sparse(p + "frontier", st.frontier);
+  st.res.parent = c.get_host<Index>(p + "parent");
+  st.res.level_sizes = c.get_host<Index>(p + "level_sizes");
+  st.level = c.get_scalar<Index>(p + "level");
+  st.done = c.get_scalar<bool>(p + "done");
+  return st;
+}
+
+inline void save_sssp(const SsspState& st, const std::string& p,
+                      Checkpoint& c) {
+  c.put_dense(p + "dist", st.dist);
+  c.put_sparse(p + "frontier", st.frontier);
+  c.put_scalar(p + "rounds", st.res.rounds);
+  c.put_scalar(p + "done", st.done);
+}
+
+inline SsspState load_sssp(const Checkpoint& c, const std::string& p,
+                           LocaleGrid& grid, Index n) {
+  SsspState st{DistDenseVec<double>(grid, n, SsspResult::kUnreachable),
+               DistSparseVec<double>(grid, n), {}, false};
+  c.get_dense(p + "dist", st.dist);
+  c.get_sparse(p + "frontier", st.frontier);
+  st.res.rounds = c.get_scalar<int>(p + "rounds");
+  st.done = c.get_scalar<bool>(p + "done");
+  return st;
+}
+
+/// Batch contract: the width and the batch's done flag under `prefix`,
+/// then every lane through its solo contract under "<prefix><q>.".
+template <typename Batch, typename SaveLane>
+void save_batch(const Batch& st, const std::string& prefix, Checkpoint& c,
+                SaveLane save_lane) {
+  c.put_scalar(prefix + "width", static_cast<Index>(st.lanes.size()));
+  c.put_scalar(prefix + "done", st.done);
+  for (std::size_t q = 0; q < st.lanes.size(); ++q) {
+    save_lane(st.lanes[q], prefix + std::to_string(q) + ".", c);
+  }
+}
+
+template <typename Batch, typename LoadLane>
+Batch load_batch(const Checkpoint& c, const std::string& prefix,
+                 LoadLane load_lane) {
+  Batch st;
+  const auto width = c.get_scalar<Index>(prefix + "width");
+  st.done = c.get_scalar<bool>(prefix + "done");
+  st.lanes.reserve(static_cast<std::size_t>(width));
+  for (Index q = 0; q < width; ++q) {
+    st.lanes.push_back(load_lane(c, prefix + std::to_string(q) + "."));
+  }
+  return st;
+}
+
+// -- loop builders ---------------------------------------------------------
 // The matrix is captured by pointer: it must outlive the returned loop
 // (every caller runs the loop inside the scope that owns the matrix).
 
 template <typename T>
-RecoverableLoop<BfsState<T>> bfs_recovery_loop(const DistCsr<T>& a,
-                                               Index source,
-                                               const SpmspvOptions& opt) {
+RecoverableLoop<BfsState<T>, BfsResult> bfs_recovery_loop(
+    const DistCsr<T>& a, Index source, const SpmspvOptions& opt) {
   auto* ap = &a;
   auto& grid = a.grid();
   const Index n = a.nrows();
-  RecoverableLoop<BfsState<T>> loop;
+  RecoverableLoop<BfsState<T>, BfsResult> loop;
   loop.init = [ap, source] { return bfs_init(*ap, source); };
   loop.step = [ap, opt](BfsState<T>& st) { bfs_step(*ap, st, opt); };
   loop.done = [](const BfsState<T>& st) { return st.done; };
   loop.save = [](const BfsState<T>& st, Checkpoint& c) {
-    c.put_dense("bfs.visited", st.visited);
-    c.put_sparse("bfs.frontier", st.frontier);
-    c.put_host("bfs.parent", st.res.parent);
-    c.put_host("bfs.level_sizes", st.res.level_sizes);
-    c.put_scalar("bfs.level", st.level);
-    c.put_scalar("bfs.done", st.done);
+    save_bfs(st, "bfs.", c);
   };
   loop.load = [&grid, n](const Checkpoint& c) {
-    BfsState<T> st{DistDenseVec<std::uint8_t>(grid, n, 0),
-                   DistSparseVec<T>(grid, n), {}, 0, false};
-    c.get_dense("bfs.visited", st.visited);
-    c.get_sparse("bfs.frontier", st.frontier);
-    st.res.parent = c.get_host<Index>("bfs.parent");
-    st.res.level_sizes = c.get_host<Index>("bfs.level_sizes");
-    st.level = c.get_scalar<Index>("bfs.level");
-    st.done = c.get_scalar<bool>("bfs.done");
-    return st;
+    return load_bfs<T>(c, "bfs.", grid, n);
   };
+  loop.static_bytes = matrix_static_bytes(a);
+  loop.result = [](BfsState<T>& st) { return std::move(st.res); };
   return loop;
 }
 
-/// Batched-BFS snapshot contract: the per-lane blocks under lane-indexed
-/// keys ("bfsb.<q>.visited", ...) plus the batch width, so a rebuild
-/// mid-batch restores every lane and the fused wave replays bit-identical
-/// to the fault-free batch.
+/// Fused BFS batch (the service executor's): the whole batch, every
+/// lane, snapshots and restores as one loop, so a kill mid-batch replays
+/// the fused wave bit-identical to the fault-free batch (whose lanes are
+/// themselves byte-identical to solo runs).
 template <typename T>
-RecoverableLoop<BfsBatchState<T>> bfs_batch_recovery_loop(
-    const DistCsr<T>& a, const std::vector<Index>& sources,
-    const SpmspvOptions& opt) {
+RecoverableLoop<BfsBatchState<T>, std::vector<BfsResult>>
+bfs_batch_recovery_loop(const DistCsr<T>& a,
+                        const std::vector<Index>& sources,
+                        const SpmspvOptions& opt) {
   auto* ap = &a;
   auto& grid = a.grid();
   const Index n = a.nrows();
-  RecoverableLoop<BfsBatchState<T>> loop;
+  RecoverableLoop<BfsBatchState<T>, std::vector<BfsResult>> loop;
   loop.init = [ap, sources] { return bfs_batch_init(*ap, sources); };
-  loop.step = [ap, opt](BfsBatchState<T>& st) { bfs_batch_step(*ap, st, opt); };
+  loop.step = [ap, opt](BfsBatchState<T>& st) {
+    bfs_batch_step(*ap, st, opt);
+  };
   loop.done = [](const BfsBatchState<T>& st) { return st.done; };
   loop.save = [](const BfsBatchState<T>& st, Checkpoint& c) {
-    c.put_scalar("bfsb.width",
-                 static_cast<Index>(st.lanes.size()));
-    c.put_scalar("bfsb.done", st.done);
-    for (std::size_t q = 0; q < st.lanes.size(); ++q) {
-      const auto& ln = st.lanes[q];
-      const std::string p = "bfsb." + std::to_string(q) + ".";
-      c.put_dense(p + "visited", ln.visited);
-      c.put_sparse(p + "frontier", ln.frontier);
-      c.put_host(p + "parent", ln.res.parent);
-      c.put_host(p + "level_sizes", ln.res.level_sizes);
-      c.put_scalar(p + "level", ln.level);
-      c.put_scalar(p + "done", ln.done);
-    }
+    save_batch(st, "bfsb.", c, save_bfs<T>);
   };
   loop.load = [&grid, n](const Checkpoint& c) {
-    BfsBatchState<T> st;
-    const auto width = c.get_scalar<Index>("bfsb.width");
-    st.done = c.get_scalar<bool>("bfsb.done");
-    st.lanes.reserve(static_cast<std::size_t>(width));
-    for (Index q = 0; q < width; ++q) {
-      const std::string p = "bfsb." + std::to_string(q) + ".";
-      BfsState<T> ln{DistDenseVec<std::uint8_t>(grid, n, 0),
-                     DistSparseVec<T>(grid, n), {}, 0, false};
-      c.get_dense(p + "visited", ln.visited);
-      c.get_sparse(p + "frontier", ln.frontier);
-      ln.res.parent = c.get_host<Index>(p + "parent");
-      ln.res.level_sizes = c.get_host<Index>(p + "level_sizes");
-      ln.level = c.get_scalar<Index>(p + "level");
-      ln.done = c.get_scalar<bool>(p + "done");
-      st.lanes.push_back(std::move(ln));
-    }
-    return st;
+    return load_batch<BfsBatchState<T>>(
+        c, "bfsb.", [&](const Checkpoint& cc, const std::string& p) {
+          return load_bfs<T>(cc, p, grid, n);
+        });
   };
-  return loop;
-}
-
-/// Batched-SSSP snapshot contract, mirroring bfs_batch_recovery_loop:
-/// per-lane blocks under "ssspb.<q>." keys plus the batch width, so a
-/// kill mid-batch rebuilds every lane and the fused relaxation wave
-/// replays bit-identical to the fault-free batch.
-template <typename T>
-RecoverableLoop<SsspBatchState> sssp_batch_recovery_loop(
-    const DistCsr<T>& a, const std::vector<Index>& sources,
-    const SpmspvOptions& opt) {
-  auto* ap = &a;
-  auto& grid = a.grid();
-  const Index n = a.nrows();
-  RecoverableLoop<SsspBatchState> loop;
-  loop.init = [ap, sources] { return sssp_batch_init(*ap, sources); };
-  loop.step = [ap, opt](SsspBatchState& st) { sssp_batch_step(*ap, st, opt); };
-  loop.done = [](const SsspBatchState& st) { return st.done; };
-  loop.save = [](const SsspBatchState& st, Checkpoint& c) {
-    c.put_scalar("ssspb.width", static_cast<Index>(st.lanes.size()));
-    c.put_scalar("ssspb.done", st.done);
-    for (std::size_t q = 0; q < st.lanes.size(); ++q) {
-      const auto& ln = st.lanes[q];
-      const std::string p = "ssspb." + std::to_string(q) + ".";
-      c.put_dense(p + "dist", ln.dist);
-      c.put_sparse(p + "frontier", ln.frontier);
-      c.put_scalar(p + "rounds", ln.res.rounds);
-      c.put_scalar(p + "done", ln.done);
-    }
-  };
-  loop.load = [&grid, n](const Checkpoint& c) {
-    SsspBatchState st;
-    const auto width = c.get_scalar<Index>("ssspb.width");
-    st.done = c.get_scalar<bool>("ssspb.done");
-    st.lanes.reserve(static_cast<std::size_t>(width));
-    for (Index q = 0; q < width; ++q) {
-      const std::string p = "ssspb." + std::to_string(q) + ".";
-      SsspState ln{DistDenseVec<double>(grid, n, SsspResult::kUnreachable),
-                   DistSparseVec<double>(grid, n), {}, false};
-      c.get_dense(p + "dist", ln.dist);
-      c.get_sparse(p + "frontier", ln.frontier);
-      ln.res.rounds = c.get_scalar<int>(p + "rounds");
-      ln.done = c.get_scalar<bool>(p + "done");
-      st.lanes.push_back(std::move(ln));
-    }
-    return st;
+  loop.static_bytes = matrix_static_bytes(a);
+  loop.result = [](BfsBatchState<T>& st) {
+    std::vector<BfsResult> out;
+    out.reserve(st.lanes.size());
+    for (auto& ln : st.lanes) out.push_back(std::move(ln.res));
+    return out;
   };
   return loop;
 }
 
 template <typename T>
-RecoverableLoop<SsspState> sssp_recovery_loop(const DistCsr<T>& a,
-                                              Index source,
-                                              const SpmspvOptions& opt) {
+RecoverableLoop<SsspState, SsspResult> sssp_recovery_loop(
+    const DistCsr<T>& a, Index source, const SpmspvOptions& opt) {
   auto* ap = &a;
   auto& grid = a.grid();
   const Index n = a.nrows();
-  RecoverableLoop<SsspState> loop;
+  RecoverableLoop<SsspState, SsspResult> loop;
   loop.init = [ap, source] { return sssp_init(*ap, source); };
   loop.step = [ap, opt](SsspState& st) { sssp_step(*ap, st, opt); };
   loop.done = [](const SsspState& st) { return st.done; };
   loop.save = [](const SsspState& st, Checkpoint& c) {
-    c.put_dense("sssp.dist", st.dist);
-    c.put_sparse("sssp.frontier", st.frontier);
-    c.put_scalar("sssp.rounds", st.res.rounds);
-    c.put_scalar("sssp.done", st.done);
+    save_sssp(st, "sssp.", c);
   };
   loop.load = [&grid, n](const Checkpoint& c) {
-    SsspState st{DistDenseVec<double>(grid, n, SsspResult::kUnreachable),
-                 DistSparseVec<double>(grid, n), {}, false};
-    c.get_dense("sssp.dist", st.dist);
-    c.get_sparse("sssp.frontier", st.frontier);
-    st.res.rounds = c.get_scalar<int>("sssp.rounds");
-    st.done = c.get_scalar<bool>("sssp.done");
-    return st;
+    return load_sssp(c, "sssp.", grid, n);
+  };
+  loop.static_bytes = matrix_static_bytes(a);
+  loop.result = [](SsspState& st) { return sssp_finalize(st); };
+  return loop;
+}
+
+/// Fused SSSP batch, with the same contract as bfs_batch_recovery_loop.
+template <typename T>
+RecoverableLoop<SsspBatchState, std::vector<SsspResult>>
+sssp_batch_recovery_loop(const DistCsr<T>& a,
+                         const std::vector<Index>& sources,
+                         const SpmspvOptions& opt) {
+  auto* ap = &a;
+  auto& grid = a.grid();
+  const Index n = a.nrows();
+  RecoverableLoop<SsspBatchState, std::vector<SsspResult>> loop;
+  loop.init = [ap, sources] { return sssp_batch_init(*ap, sources); };
+  loop.step = [ap, opt](SsspBatchState& st) { sssp_batch_step(*ap, st, opt); };
+  loop.done = [](const SsspBatchState& st) { return st.done; };
+  loop.save = [](const SsspBatchState& st, Checkpoint& c) {
+    save_batch(st, "ssspb.", c, save_sssp);
+  };
+  loop.load = [&grid, n](const Checkpoint& c) {
+    return load_batch<SsspBatchState>(
+        c, "ssspb.", [&](const Checkpoint& cc, const std::string& p) {
+          return load_sssp(cc, p, grid, n);
+        });
+  };
+  loop.static_bytes = matrix_static_bytes(a);
+  loop.result = [](SsspBatchState& st) {
+    std::vector<SsspResult> out;
+    out.reserve(st.lanes.size());
+    for (auto& ln : st.lanes) out.push_back(sssp_finalize(ln));
+    return out;
   };
   return loop;
 }
 
 template <typename T>
-RecoverableLoop<PagerankState<T>> pagerank_recovery_loop(const DistCsr<T>& a,
-                                                         double damping,
-                                                         double tol,
-                                                         int max_iters) {
+RecoverableLoop<PagerankState<T>, PagerankResult> pagerank_recovery_loop(
+    const DistCsr<T>& a, double damping, double tol, int max_iters) {
   auto* ap = &a;
   auto& grid = a.grid();
   const Index n = a.nrows();
-  RecoverableLoop<PagerankState<T>> loop;
+  RecoverableLoop<PagerankState<T>, PagerankResult> loop;
   loop.init = [ap] { return pagerank_init(*ap); };
   loop.step = [ap, damping, tol, max_iters](PagerankState<T>& st) {
     pagerank_step(*ap, st, damping, tol, max_iters);
@@ -233,126 +248,9 @@ RecoverableLoop<PagerankState<T>> pagerank_recovery_loop(const DistCsr<T>& a,
     st.done = c.get_scalar<bool>("pagerank.done");
     return st;
   };
+  loop.static_bytes = matrix_static_bytes(a);
+  loop.result = [](PagerankState<T>& st) { return pagerank_finalize(st); };
   return loop;
-}
-
-// -- checkpoint-rollback drivers -----------------------------------------
-
-template <typename T>
-BfsResult bfs_with_recovery(const DistCsr<T>& a, Index source,
-                            const SpmspvOptions& opt, FaultPlan* plan,
-                            RecoveryOptions ropt = {},
-                            RecoveryReport* report = nullptr) {
-  if (ropt.static_bytes == 0) ropt.static_bytes = matrix_static_bytes(a);
-  BfsState<T> st = run_with_recovery(
-      a.grid(), plan, bfs_recovery_loop(a, source, opt), ropt, report);
-  return std::move(st.res);
-}
-
-template <typename T>
-SsspResult sssp_with_recovery(const DistCsr<T>& a, Index source,
-                              const SpmspvOptions& opt, FaultPlan* plan,
-                              RecoveryOptions ropt = {},
-                              RecoveryReport* report = nullptr) {
-  if (ropt.static_bytes == 0) ropt.static_bytes = matrix_static_bytes(a);
-  SsspState st = run_with_recovery(
-      a.grid(), plan, sssp_recovery_loop(a, source, opt), ropt, report);
-  return sssp_finalize(st);
-}
-
-template <typename T>
-PagerankResult pagerank_with_recovery(const DistCsr<T>& a, FaultPlan* plan,
-                                      double damping = 0.85, double tol = 1e-8,
-                                      int max_iters = 100,
-                                      RecoveryOptions ropt = {},
-                                      RecoveryReport* report = nullptr) {
-  if (ropt.static_bytes == 0) ropt.static_bytes = matrix_static_bytes(a);
-  PagerankState<T> st = run_with_recovery(
-      a.grid(), plan, pagerank_recovery_loop<T>(a, damping, tol, max_iters),
-      ropt, report);
-  return pagerank_finalize(st);
-}
-
-// -- localized-rebuild drivers -------------------------------------------
-
-template <typename T>
-BfsResult bfs_with_rebuild(const DistCsr<T>& a, Index source,
-                           const SpmspvOptions& opt, FaultPlan* plan,
-                           RebuildOptions ropt = {},
-                           RecoveryReport* report = nullptr) {
-  if (ropt.replica.static_bytes == 0) {
-    ropt.replica.static_bytes = matrix_static_bytes(a);
-  }
-  BfsState<T> st = run_with_rebuild(
-      a.grid(), plan, bfs_recovery_loop(a, source, opt), ropt, report);
-  return std::move(st.res);
-}
-
-/// Kill-mid-batch recovery for the service executor's fused BFS batch:
-/// the whole batch state (every lane) is replicated/rebuilt as one loop,
-/// and the recovered per-lane results are bit-for-bit the fault-free
-/// batch's (which are themselves byte-identical to solo runs).
-template <typename T>
-std::vector<BfsResult> bfs_batch_with_rebuild(
-    const DistCsr<T>& a, const std::vector<Index>& sources,
-    const SpmspvOptions& opt, FaultPlan* plan, RebuildOptions ropt = {},
-    RecoveryReport* report = nullptr) {
-  if (ropt.replica.static_bytes == 0) {
-    ropt.replica.static_bytes = matrix_static_bytes(a);
-  }
-  BfsBatchState<T> st = run_with_rebuild(
-      a.grid(), plan, bfs_batch_recovery_loop(a, sources, opt), ropt, report);
-  std::vector<BfsResult> out;
-  out.reserve(st.lanes.size());
-  for (auto& ln : st.lanes) out.push_back(std::move(ln.res));
-  return out;
-}
-
-/// Kill-mid-batch recovery for the service executor's fused SSSP batch
-/// (same contract as bfs_batch_with_rebuild: the whole batch rebuilds as
-/// one loop, recovered lane distances are byte-identical to fault-free).
-template <typename T>
-std::vector<SsspResult> sssp_batch_with_rebuild(
-    const DistCsr<T>& a, const std::vector<Index>& sources,
-    const SpmspvOptions& opt, FaultPlan* plan, RebuildOptions ropt = {},
-    RecoveryReport* report = nullptr) {
-  if (ropt.replica.static_bytes == 0) {
-    ropt.replica.static_bytes = matrix_static_bytes(a);
-  }
-  SsspBatchState st = run_with_rebuild(
-      a.grid(), plan, sssp_batch_recovery_loop(a, sources, opt), ropt, report);
-  std::vector<SsspResult> out;
-  out.reserve(st.lanes.size());
-  for (auto& ln : st.lanes) out.push_back(sssp_finalize(ln));
-  return out;
-}
-
-template <typename T>
-SsspResult sssp_with_rebuild(const DistCsr<T>& a, Index source,
-                             const SpmspvOptions& opt, FaultPlan* plan,
-                             RebuildOptions ropt = {},
-                             RecoveryReport* report = nullptr) {
-  if (ropt.replica.static_bytes == 0) {
-    ropt.replica.static_bytes = matrix_static_bytes(a);
-  }
-  SsspState st = run_with_rebuild(
-      a.grid(), plan, sssp_recovery_loop(a, source, opt), ropt, report);
-  return sssp_finalize(st);
-}
-
-template <typename T>
-PagerankResult pagerank_with_rebuild(const DistCsr<T>& a, FaultPlan* plan,
-                                     double damping = 0.85, double tol = 1e-8,
-                                     int max_iters = 100,
-                                     RebuildOptions ropt = {},
-                                     RecoveryReport* report = nullptr) {
-  if (ropt.replica.static_bytes == 0) {
-    ropt.replica.static_bytes = matrix_static_bytes(a);
-  }
-  PagerankState<T> st = run_with_rebuild(
-      a.grid(), plan, pagerank_recovery_loop<T>(a, damping, tol, max_iters),
-      ropt, report);
-  return pagerank_finalize(st);
 }
 
 }  // namespace pgb

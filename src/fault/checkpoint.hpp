@@ -198,7 +198,9 @@ class Checkpoint {
       auto raw = v.local(l).raw();
       PGB_REQUIRE(blk.bytes.size() == raw.size() * sizeof(T),
                   "checkpoint: '" + key + "' block size mismatch");
-      std::memcpy(raw.data(), blk.bytes.data(), blk.bytes.size());
+      if (!blk.bytes.empty()) {
+        std::memcpy(raw.data(), blk.bytes.data(), blk.bytes.size());
+      }
     }
   }
 
@@ -255,6 +257,7 @@ class Checkpoint {
             std::size_t& off, void* out, std::size_t n) const {
     PGB_REQUIRE(off + n <= blk.bytes.size(),
                 "checkpoint: '" + key + "' block truncated");
+    if (n == 0) return;  // an empty block: `out` may be null
     std::memcpy(out, blk.bytes.data() + off, n);
     off += n;
   }
@@ -295,14 +298,15 @@ class Checkpoint {
   std::unordered_map<std::string, std::size_t> index_;
 };
 
+/// Modeled stable-store bandwidth, bytes/s (burst-buffer class).
+inline constexpr double kStableStoreBw = 5e9;
+
 /// Charges the simulated cost of writing `ckpt` to the stable store:
 /// each locale streams its own blocks through node memory (serialization)
-/// and ships them at `stable_bw` bytes/s, then all locales synchronize —
-/// a checkpoint is only durable once every block landed. Publishes
+/// and ships them at kStableStoreBw, then all locales synchronize — a
+/// checkpoint is only durable once every block landed. Publishes
 /// ckpt.saves / ckpt.bytes and a "checkpoint" span.
-inline void charge_checkpoint_save(LocaleGrid& grid, const Checkpoint& ckpt,
-                                   double stable_bw) {
-  PGB_REQUIRE(stable_bw > 0.0, "checkpoint: stable_bw must be positive");
+inline void charge_checkpoint_save(LocaleGrid& grid, const Checkpoint& ckpt) {
   PGB_TRACE_SPAN(grid, "checkpoint",
                  {{"dir", "save"},
                   {"round", std::to_string(ckpt.round)},
@@ -312,7 +316,7 @@ inline void charge_checkpoint_save(LocaleGrid& grid, const Checkpoint& ckpt,
   const double serialize_bw = grid.model().node.bw_core;
   for (int l = 0; l < grid.num_locales(); ++l) {
     const double b = static_cast<double>(ckpt.locale_bytes(l));
-    grid.clock(l).advance(b / serialize_bw + b / stable_bw);
+    grid.clock(l).advance(b / serialize_bw + b / kStableStoreBw);
   }
   grid.barrier_all();
 }
@@ -323,9 +327,7 @@ inline void charge_checkpoint_save(LocaleGrid& grid, const Checkpoint& ckpt,
 /// unchanging state (its matrix blocks). All clocks join at the end —
 /// restart is globally synchronous. Publishes ckpt.restores.
 inline void charge_checkpoint_restore(LocaleGrid& grid, const Checkpoint& ckpt,
-                                      double stable_bw,
                                       std::int64_t static_bytes) {
-  PGB_REQUIRE(stable_bw > 0.0, "checkpoint: stable_bw must be positive");
   PGB_TRACE_SPAN(grid, "checkpoint",
                  {{"dir", "restore"},
                   {"round", std::to_string(ckpt.round)},
@@ -335,9 +337,9 @@ inline void charge_checkpoint_restore(LocaleGrid& grid, const Checkpoint& ckpt,
   double slowest = 0.0;
   for (int l = 0; l < grid.num_locales(); ++l) {
     slowest = std::max(
-        slowest, static_cast<double>(ckpt.locale_bytes(l)) / stable_bw);
+        slowest, static_cast<double>(ckpt.locale_bytes(l)) / kStableStoreBw);
   }
-  slowest += static_cast<double>(static_bytes) / stable_bw;
+  slowest += static_cast<double>(static_bytes) / kStableStoreBw;
   for (int l = 0; l < grid.num_locales(); ++l) {
     grid.clock(l).advance_to(t0 + slowest);
   }

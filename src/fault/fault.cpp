@@ -1,7 +1,8 @@
 #include "fault/fault.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 
 namespace pgb {
 
@@ -37,13 +38,28 @@ std::vector<std::string> split(const std::string& s, char sep) {
   }
 }
 
+// A finite decimal number and nothing else: no padding, sign prefix,
+// hex, inf or nan, so a spec never runs a fault other than the one
+// written.
 double parse_num(const std::string& clause, const std::string& v) {
-  char* end = nullptr;
-  const double x = std::strtod(v.c_str(), &end);
-  PGB_REQUIRE(end != nullptr && *end == '\0' && !v.empty(),
+  double x = 0.0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
+  PGB_REQUIRE(ec == std::errc() && end == v.data() + v.size() &&
+                  std::isfinite(x),
               "fault spec: bad number '" + v + "' in clause '" + clause +
-                  "'");
+                  "' (expected a finite decimal)");
   return x;
+}
+
+// A locale id: a whole, non-negative decimal int.
+int parse_locale(const std::string& clause, const std::string& v) {
+  int id = -1;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), id);
+  PGB_REQUIRE(ec == std::errc() && end == v.data() + v.size() && id >= 0 &&
+                  v[0] != '-',
+              "fault spec: bad locale id '" + v + "' in clause '" + clause +
+                  "' (expected a whole decimal number >= 0)");
+  return id;
 }
 
 FaultKind parse_kind(const std::string& clause, const std::string& k) {
@@ -83,13 +99,19 @@ FaultSpec FaultSpec::parse(const std::string& spec) {
         } else if (key == "locale" && rule.kind == FaultKind::kStall) {
           // stall:locale= is the deterministic *source* target, distinct
           // from peer= (destination filter on probabilistic rules).
-          rule.src_locale = static_cast<int>(parse_num(clause, val));
+          rule.src_locale = parse_locale(clause, val);
           saw_src = true;
         } else if (key == "peer" || key == "locale") {
-          rule.locale = static_cast<int>(parse_num(clause, val));
+          rule.locale = parse_locale(clause, val);
           saw_locale = true;
         } else if (key == "ms") {
-          rule.stall_seconds = parse_num(clause, val) * 1e-3;
+          // Up to 1e9 ms (11.6 simulated days) the ms -> s -> ms
+          // conversion renders back exactly in to_string()'s six
+          // decimals; past it the canonical form would drift.
+          const double ms = parse_num(clause, val);
+          PGB_REQUIRE(ms <= 1e9, "fault spec: ms must be <= 1e9: '" +
+                                     clause + "'");
+          rule.stall_seconds = ms * 1e-3;
           saw_ms = true;
         } else if (key == "at") {
           rule.at_time = parse_num(clause, val);
@@ -171,6 +193,12 @@ std::string FaultSpec::to_string() const {
     }
   }
   return s;
+}
+
+int FaultSpec::max_locale() const {
+  int m = -1;
+  for (const FaultRule& r : rules) m = std::max({m, r.locale, r.src_locale});
+  return m;
 }
 
 void RetryPolicy::validate() const {

@@ -25,7 +25,7 @@
 // unaffected (a "dropped" transfer is re-sent until delivered, a
 // duplicate is deduplicated by sequence number), so any run without a
 // locale kill is bit-identical to the fault-free run; kills are
-// recovered through checkpoint/restart (fault/recovery.hpp).
+// recovered by the resilient driver (fault/recovery.hpp).
 #pragma once
 
 #include <cstdint>
@@ -81,6 +81,11 @@ struct FaultRule {
 ///                          locale stalls; p= and peer= are rejected)
 ///   kill:                  locale=<id> at=<simulated seconds>
 ///
+/// Numbers (p, ms, at) are finite decimals: no padding, '+', hex, inf or
+/// nan; ms is at most 1e9. Locale ids (locale, peer) are whole decimal
+/// ints >= 0, and a grid rejects a plan that names a locale it does not
+/// have.
+///
 /// Examples:  "drop:p=0.01"
 ///            "drop:p=0.02,peer=3;stall:p=0.001,ms=0.5"
 ///            "stall:locale=7,ms=0.5"
@@ -94,6 +99,10 @@ struct FaultSpec {
 
   /// Canonical rendering (parses back to an equal spec).
   std::string to_string() const;
+
+  /// Largest locale id any rule names (kill, peer or stall source); -1
+  /// when none does.
+  int max_locale() const;
 };
 
 /// How the comm layer turns faults into delivery guarantees.
@@ -116,8 +125,8 @@ struct RetryPolicy {
 };
 
 /// Thrown when a permanently failed locale is detected (by the grid's
-/// coforall dispatch). Recovery drivers catch it and restart from the
-/// last checkpoint; without a driver it surfaces to the caller.
+/// coforall dispatch). The resilient driver catches it and fails over;
+/// without a driver it surfaces to the caller.
 class LocaleFailed : public Error {
  public:
   LocaleFailed(int locale, double sim_time);

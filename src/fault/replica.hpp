@@ -22,7 +22,7 @@
 // Failure tolerance: one locale at a time (the classic single-fault
 // model). A second failure is survivable as long as it does not take
 // out the buddy (or a parity-group peer) of an unrecovered locale —
-// the rebuild driver rethrows LocaleFailed when it does.
+// the resilient driver (recovery.hpp) rethrows LocaleFailed when it does.
 #pragma once
 
 #include <algorithm>
@@ -56,15 +56,12 @@ struct ReplicaOptions {
   int parity_group = 4;
   /// Dirty-tracking granularity of the incremental update log: a flush
   /// ships only the chunks whose bytes changed since the last flush,
-  /// plus a small per-chunk header.
+  /// plus a kChunkHeaderBytes header per chunk.
   std::int64_t chunk_bytes = 4096;
-  /// Modeled per-chunk shipping header (offset + length + checksum).
-  std::int64_t chunk_header_bytes = 16;
-  /// Unchanging bytes (the matrix blocks, grid total) replicated once at
-  /// store construction; a rebuilt locale re-pulls its 1/n share from
-  /// its buddy instead of the stable store.
-  std::int64_t static_bytes = 0;
 };
+
+/// Modeled per-chunk shipping header (offset + length + checksum).
+inline constexpr std::int64_t kChunkHeaderBytes = 16;
 
 /// Deterministic buddy assignment: the locale half the ring away, so
 /// buddy pairs straddle node boundaries under every locales_per_node
@@ -76,13 +73,15 @@ inline int replica_buddy_of(int logical, int num_locales) {
 
 class ReplicaStore {
  public:
-  ReplicaStore(LocaleGrid& grid, ReplicaOptions opt)
-      : grid_(grid), opt_(opt) {
+  /// `static_bytes`: unchanging state (the matrix blocks, grid total)
+  /// replicated once here; a rebuilt locale re-pulls its 1/n share from
+  /// its buddy instead of the stable store.
+  ReplicaStore(LocaleGrid& grid, ReplicaOptions opt,
+               std::int64_t static_bytes = 0)
+      : grid_(grid), opt_(opt), static_bytes_(static_bytes) {
     PGB_REQUIRE(grid.num_locales() >= 2,
                 "replica: need at least two locales to replicate");
     PGB_REQUIRE(opt_.chunk_bytes >= 1, "replica: chunk_bytes must be >= 1");
-    PGB_REQUIRE(opt_.chunk_header_bytes >= 0,
-                "replica: chunk_header_bytes must be >= 0");
     if (opt_.scheme == ReplicaScheme::kParity) {
       PGB_REQUIRE(opt_.parity_group >= 2,
                   "replica: parity_group must be >= 2");
@@ -90,18 +89,17 @@ class ReplicaStore {
                   "replica: parity_group must be < num_locales (a group's "
                   "parity must live outside the group)");
     }
-    if (opt_.static_bytes > 0) {
+    if (static_bytes_ > 0) {
       // One-time replication of the static state: each locale ships its
       // share to wherever its dynamic replicas will live.
       PGB_TRACE_SPAN(grid_, "replica.setup",
-                     {{"bytes", std::to_string(opt_.static_bytes)}});
-      const std::int64_t share =
-          opt_.static_bytes / grid_.num_locales();
+                     {{"bytes", std::to_string(static_bytes_)}});
+      const std::int64_t share = static_bytes_ / grid_.num_locales();
       grid_.coforall_locales([&](LocaleCtx& ctx) {
         ctx.remote_bulk(replica_target(ctx.locale()), share);
       });
-      shipped_bytes_ += opt_.static_bytes;
-      grid_.metrics().counter("replica.bytes").inc(opt_.static_bytes);
+      shipped_bytes_ += static_bytes_;
+      grid_.metrics().counter("replica.bytes").inc(static_bytes_);
     }
   }
 
@@ -237,8 +235,7 @@ class ReplicaStore {
     } else {
       lost_bytes = reconstruct_from_parity(logical);
     }
-    const std::int64_t static_share =
-        opt_.static_bytes / grid_.num_locales();
+    const std::int64_t static_share = static_bytes_ / grid_.num_locales();
     PGB_TRACE_SPAN(grid_, "recovery.rebuild",
                    {{"locale", std::to_string(logical)},
                     {"scheme", to_string(opt_.scheme)},
@@ -306,8 +303,7 @@ class ReplicaStore {
           len == olen && len > 0 &&
           std::memcmp(now.data() + off, old_bytes->data() + off,
                       static_cast<std::size_t>(len)) == 0;
-      if (!same) out += std::max<std::int64_t>(len, 0) +
-                        opt_.chunk_header_bytes;
+      if (!same) out += std::max<std::int64_t>(len, 0) + kChunkHeaderBytes;
     }
     return out;
   }
@@ -388,6 +384,7 @@ class ReplicaStore {
 
   LocaleGrid& grid_;
   ReplicaOptions opt_;
+  std::int64_t static_bytes_ = 0;
   Checkpoint staging_;   ///< scratch the loop serializes into each round
   Checkpoint primary_;   ///< each locale's own last-flushed copy
   Checkpoint mirror_;    ///< the buddy-held copies (physically distinct)

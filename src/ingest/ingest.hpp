@@ -19,15 +19,18 @@
 //            published matrix becomes the new base: logs truncate and
 //            the base re-replicates to the buddies.
 //
-// A locale kill mid-batch (LocaleFailed from the fault plane) triggers
-// degraded rebuild: the dead logical locale is remapped onto its
-// buddy's host, its base block is restored from the buddy's checksummed
-// copy, and the buddy's mirrored log pages are replayed past the last
-// durable (acknowledged) sequence number — torn or corrupt tail frames
-// are detected by checksum and exactly the unacknowledged suffix is
-// discarded, then the interrupted batch re-applies. Both the replayed
-// pages and the re-applied batch are bit-identical to the fault-free
-// run, so the post-recovery published graph hashes equal.
+// Every stage (apply, each publish stage, compaction) is idempotent and
+// runs as a stateless one-round loop under the resilient driver
+// (fault/recovery.hpp) in degraded mode. A locale kill inside a stage
+// (LocaleFailed from the fault plane) remaps the dead logical locale
+// onto its buddy's host and calls recover(): the dead locale's base
+// block is restored from the buddy's checksummed copy, and the buddy's
+// mirrored log pages are replayed past the last durable (acknowledged)
+// sequence number. Torn or corrupt tail frames are detected by checksum
+// and exactly the unacknowledged suffix is discarded; then the stage
+// re-runs. Both the replayed pages and the re-run stage are
+// bit-identical to the fault-free run, so the post-recovery published
+// graph hashes equal.
 #pragma once
 
 #include <algorithm>
@@ -40,6 +43,7 @@
 
 #include "fault/checkpoint.hpp"
 #include "fault/fault.hpp"
+#include "fault/recovery.hpp"
 #include "fault/replica.hpp"
 #include "ingest/delta_log.hpp"
 #include "obs/span.hpp"
@@ -74,6 +78,7 @@ inline Csr<double> deserialize_csr(const unsigned char* p, std::size_t n) {
   std::size_t off = 0;
   const auto get = [&](void* out, std::size_t len) {
     PGB_REQUIRE(off + len <= n, "ingest: truncated base-replica block");
+    if (len == 0) return;  // an empty array: `out` may be null
     std::memcpy(out, p + off, len);
     off += len;
   };
@@ -118,8 +123,6 @@ struct IngestOptions {
   std::int64_t compact_every = 8192;
   /// Aggregation knobs for the delta routing path.
   AggConfig agg;
-  /// Give up (rethrow LocaleFailed) after this many kills in one apply.
-  int max_failures = 4;
 };
 
 struct IngestStats {
@@ -150,8 +153,6 @@ class IngestStream {
                 "ingest: need at least two locales for buddy mirroring");
     PGB_REQUIRE(opt_.compact_every >= 1,
                 "ingest: compact_every must be >= 1");
-    PGB_REQUIRE(opt_.max_failures >= 0,
-                "ingest: max_failures must be >= 0");
     const int n = grid_.num_locales();
     logs_.resize(static_cast<std::size_t>(n));
     mirror_.resize(static_cast<std::size_t>(n));
@@ -180,7 +181,7 @@ class IngestStream {
     PGB_TRACE_SPAN(grid_, "ingest.apply",
                    {{"seq", std::to_string(batch.seq)},
                     {"deltas", std::to_string(batch.deltas.size())}});
-    run_protected([&] { route_and_append(batch); });
+    run_stage([&] { route_and_append(batch); });
     acked_seq_ = batch.seq;
     ++stats_.batches;
     std::int64_t ins = 0, del = 0;
@@ -218,7 +219,7 @@ class IngestStream {
     // Every stage below is individually idempotent (folds are last-write-
     // wins over already-identical prefixes; materialize overwrites), so a
     // kill inside any of them recovers and re-runs just that stage.
-    run_protected([&] {
+    run_stage([&] {
       grid_.coforall_locales([&](LocaleCtx& ctx) {
         const int l = ctx.locale();
         std::int64_t folded = 0;
@@ -243,7 +244,7 @@ class IngestStream {
     auto g = std::make_shared<DistCsr<double>>(grid_, base_.nrows(),
                                                base_.ncols());
     std::int64_t pending = 0;
-    run_protected([&] {
+    run_stage([&] {
       pending = 0;  // a retried stage recounts from scratch
       grid_.coforall_locales([&](LocaleCtx& ctx) {
         const int l = ctx.locale();
@@ -268,7 +269,7 @@ class IngestStream {
     grid_.metrics().counter("ingest.publishes").inc();
     bool compacted = false;
     if (pending >= opt_.compact_every) {
-      run_protected([&] { compact(*g); });
+      run_stage([&] { compact(*g); });
       compacted = true;
     }
     if (elog_ != nullptr) {
@@ -281,11 +282,11 @@ class IngestStream {
     return epoch;
   }
 
-  /// Recovery entry point for kills that land *outside* an ingest apply
-  /// (a query batch under run_with_rebuild): the rebuild driver has
-  /// already remapped the logical locale; this restores the ingest
-  /// state it carried — base block from the buddy's checksummed copy,
-  /// log pages from the buddy's mirror. Wire it through
+  /// Recovery entry point for kills that land *outside* an ingest stage
+  /// (a query batch under run_resilient): the driver has already
+  /// remapped the logical locale; this restores the ingest state it
+  /// carried — base block from the buddy's checksummed copy, log pages
+  /// from the buddy's mirror. Wire it through
   /// GraphService::set_rebuild_hook.
   void recover_after_rebuild(int logical) { recover(logical); }
 
@@ -323,38 +324,27 @@ class IngestStream {
     EdgeDelta d;
   };
 
-  /// Runs one idempotent stage to completion, surviving locale kills:
-  /// on LocaleFailed the dead logical locale is remapped onto its
-  /// buddy's host (degraded mode), its ingest state is restored from
-  /// the buddy (recover), and the stage re-runs from scratch. Rethrows
-  /// past the failure budget, without a fault plan, or when the buddy
-  /// is dead too (a second overlapping failure exceeds the replica
-  /// scheme's single-fault tolerance).
+  /// Runs one idempotent stage to completion, surviving locale kills: a
+  /// stateless one-round loop under the resilient driver in degraded
+  /// mode, with membership kept (the stream lives across many stages)
+  /// and recover() as the failover hook. Rethrows past the failure
+  /// budget, without a fault plan, or when the buddy is dead too.
   template <typename Fn>
-  void run_protected(Fn&& fn) {
-    int failures = 0;
-    for (;;) {
-      try {
-        fn();
-        return;
-      } catch (const LocaleFailed& lf) {
-        ++failures;
-        if (grid_.fault_plan() == nullptr || failures > opt_.max_failures) {
-          throw;
-        }
-        const int logical = lf.locale();
-        const int dead_host = grid_.host_of(logical);
-        const int new_host =
-            grid_.host_of(replica_buddy_of(logical, grid_.num_locales()));
-        if (new_host == dead_host ||
-            grid_.fault_plan()->is_down(new_host, grid_.time())) {
-          throw;
-        }
-        grid_.remap_locale(logical, new_host);
-        grid_.metrics().counter("recovery.restarts").inc();
-        recover(logical);
-      }
-    }
+  void run_stage(Fn&& fn) {
+    RecoverableLoop<bool> stage;
+    stage.init = [] { return false; };
+    stage.step = [&fn](bool& done) {
+      fn();
+      done = true;
+    };
+    stage.done = [](const bool& done) { return done; };
+    stage.result = [](bool& done) { return done; };
+    ResilienceOptions opt;
+    opt.policy = RecoveryPolicy::kDegraded;
+    opt.retry = grid_.retry_policy();
+    opt.keep_membership = true;
+    opt.on_rebuild = [this](int logical) { recover(logical); };
+    run_resilient(grid_, grid_.fault_plan(), stage, opt);
   }
 
   void replicate_base() {

@@ -18,7 +18,7 @@ using Index = std::int64_t;
 /// Live membership of a locale set: which *physical* locale currently
 /// hosts each *logical* locale (block owner). Distributions keep
 /// partitioning data by logical locale forever; degraded-mode recovery
-/// (fault/rebuild.hpp) remaps a dead locale's logical id onto a
+/// (fault/recovery.hpp) remaps a dead locale's logical id onto a
 /// surviving host and bumps the membership epoch so cached views
 /// (RemapView) revalidate. Fault-free the mapping is the identity and
 /// every query collapses to the obvious answer.

@@ -472,10 +472,10 @@ void LocaleGrid::coforall_locales(const std::function<void(LocaleCtx&)>& body) {
     // Permanent-failure detection: a killed host never answers the
     // spawn. This is the one place LocaleFailed is thrown, so no
     // destructor (aggregator flushes included) can ever throw during
-    // unwinding; recovery drivers catch it and either roll back to a
-    // checkpoint (recovery.hpp) or rebuild the lost blocks from their
-    // replicas (rebuild.hpp). The exception carries the *logical*
-    // locale whose dispatch failed; drivers translate to the host.
+    // unwinding; the resilient driver (fault/recovery.hpp) catches it
+    // and either rolls back to a checkpoint or rebuilds the lost blocks
+    // from their replicas. The exception carries the *logical* locale
+    // whose dispatch failed; the driver translates to the host.
     if (fault_plan_ != nullptr && fault_plan_->is_down(h, clocks_[h].now())) {
       metrics_.counter("fault.injected", {{"kind", "kill"}}).inc();
       if (trace_session_ != nullptr) {

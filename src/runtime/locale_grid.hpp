@@ -309,8 +309,17 @@ class LocaleGrid {
   /// attached, every comm helper and aggregator flush consults it:
   /// injected faults charge retries/timeouts per `retry_policy()`, and
   /// coforall dispatch throws LocaleFailed when a locale's kill time has
-  /// passed (recovery drivers catch it; see fault/recovery.hpp).
-  void set_fault_plan(FaultPlan* plan) { fault_plan_ = plan; }
+  /// passed (the resilient driver catches it; see fault/recovery.hpp).
+  /// Rejects a plan that names a locale this grid does not have: its
+  /// kill or filter could never fire.
+  void set_fault_plan(FaultPlan* plan) {
+    PGB_REQUIRE(plan == nullptr || plan->spec().max_locale() < num_locales(),
+                "fault plan names locale " +
+                    std::to_string(plan->spec().max_locale()) +
+                    " but the grid has " + std::to_string(num_locales()) +
+                    " locales");
+    fault_plan_ = plan;
+  }
   FaultPlan* fault_plan() { return fault_plan_; }
 
   /// Delivery-guarantee knobs used while a fault plan is attached.

@@ -6,14 +6,13 @@
 // level for the whole batch. Per-query results are byte-identical to
 // solo runs (see core/spmspv_multi.hpp for why).
 //
-// When a fault plan is attached, BFS and SSSP batches run under the PR-5
-// localized-rebuild driver (bfs_batch_with_rebuild /
-// sssp_batch_with_rebuild): a locale killed mid-batch is rebuilt from
-// replicas and the whole batch replays its last round bit-identical to
-// the fault-free run. The subgraph kinds (ego-net, pagerank-on-subgraph)
-// still run outside the rebuild driver — chaos traffic mixes should
-// stick to the frontier kinds (their solo recovery wrappers exist in
-// algo_recovery.hpp).
+// When a fault plan is attached, BFS and SSSP batches run their batch
+// loops (algo_recovery.hpp) under the resilient driver, run_resilient,
+// with the service's ResilienceOptions: a locale killed mid-batch is
+// rebuilt from replicas and the whole batch replays its last round
+// bit-identical to the fault-free run. The subgraph kinds (ego-net,
+// pagerank-on-subgraph) still run outside the driver, so chaos traffic
+// mixes should stick to the frontier kinds.
 //
 // The subgraph kinds bottom out on the same primitives: an ego-net is a
 // depth-capped BFS's reached set; pagerank-on-subgraph extracts the ego
@@ -37,10 +36,10 @@ namespace pgb {
 
 struct ExecOptions {
   SpmspvOptions spmspv;
-  /// Optional fault plan: BFS and SSSP batches run under run_with_rebuild
-  /// so a kill mid-batch recovers through the degraded path.
+  /// Optional fault plan: BFS and SSSP batches run under run_resilient
+  /// so a kill mid-batch recovers per `resilience`.
   FaultPlan* plan = nullptr;
-  RebuildOptions rebuild;
+  ResilienceOptions resilience;
   /// Optional recovery telemetry sink (accumulated across batches).
   RecoveryReport* report = nullptr;
 };
@@ -130,8 +129,9 @@ inline std::vector<QueryResult> execute_batch(
       for (const auto& q : batch) sources.push_back(q.spec.source);
       std::vector<BfsResult> res =
           opt.plan != nullptr
-              ? bfs_batch_with_rebuild(g, sources, opt.spmspv, opt.plan,
-                                       opt.rebuild, opt.report)
+              ? run_resilient(g.grid(), opt.plan,
+                              bfs_batch_recovery_loop(g, sources, opt.spmspv),
+                              opt.resilience, opt.report)
               : bfs_batch(g, sources, opt.spmspv);
       for (std::size_t i = 0; i < batch.size(); ++i) {
         out[i].kind = kind;
@@ -145,8 +145,9 @@ inline std::vector<QueryResult> execute_batch(
       for (const auto& q : batch) sources.push_back(q.spec.source);
       std::vector<SsspResult> res =
           opt.plan != nullptr
-              ? sssp_batch_with_rebuild(g, sources, opt.spmspv, opt.plan,
-                                        opt.rebuild, opt.report)
+              ? run_resilient(g.grid(), opt.plan,
+                              sssp_batch_recovery_loop(g, sources, opt.spmspv),
+                              opt.resilience, opt.report)
               : sssp_batch(g, sources, opt.spmspv);
       for (std::size_t i = 0; i < batch.size(); ++i) {
         out[i].kind = kind;

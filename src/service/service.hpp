@@ -67,10 +67,10 @@ struct ServiceConfig {
   int queue_depth = 64;
   int batch_max = 16;
   SpmspvOptions spmspv;
-  /// Optional fault plan + rebuild policy for kill-mid-batch recovery.
+  /// Optional fault plan + recovery policy for kill-mid-batch recovery.
   FaultPlan* plan = nullptr;
-  RebuildOptions rebuild;
-  /// Optional recovery telemetry sink (filled by the rebuild driver).
+  ResilienceOptions resilience;
+  /// Optional recovery telemetry sink (filled by the resilient driver).
   RecoveryReport* report = nullptr;
   /// Per-tenant sustained admission rate (queries per simulated second);
   /// 0 disables quotas.
@@ -158,14 +158,14 @@ class GraphService {
   }
   ServiceEventLog* event_log() { return elog_; }
 
-  /// Installs a recovery callback on the rebuild driver: called with the
+  /// Installs the failover hook of the resilient driver: called with the
   /// dead logical locale after a degraded remap, before the interrupted
   /// query batch resumes. The ingest stream registers its replay here so
   /// a kill landing inside a *query* batch still restores the delta log
-  /// and base mirror it carried (a kill inside an ingest apply is handled
-  /// by the stream's own retry loop).
+  /// and base mirror it carried (a kill inside an ingest stage reaches
+  /// the same replay through the stream's own driver call).
   void set_rebuild_hook(std::function<void(int logical)> hook) {
-    cfg_.rebuild.on_rebuild = std::move(hook);
+    cfg_.resilience.on_rebuild = std::move(hook);
   }
 
   struct Submitted {
@@ -338,7 +338,7 @@ class GraphService {
     ExecOptions eopt;
     eopt.spmspv = cfg_.spmspv;
     eopt.plan = cfg_.plan;
-    eopt.rebuild = cfg_.rebuild;
+    eopt.resilience = cfg_.resilience;
     eopt.report = cfg_.report;
     std::vector<QueryResult> results = execute_batch(batch, eopt);
     const double end = grid_.time();

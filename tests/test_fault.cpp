@@ -21,6 +21,7 @@
 #include "gen/erdos_renyi.hpp"
 #include "gen/random_vec.hpp"
 #include "runtime/aggregator.hpp"
+#include "util/rng.hpp"
 
 namespace pgb {
 namespace {
@@ -103,6 +104,94 @@ TEST(FaultSpec, RejectsMalformedSourceTargetedStall) {
   EXPECT_THROW(FaultSpec::parse("stall:locale=2,at=0.5,ms=1"),
                InvalidArgument);
   EXPECT_THROW(FaultSpec::parse("stall:locale=-1,ms=1"), InvalidArgument);
+}
+
+TEST(FaultSpec, RejectsSpecsThatWouldRunADifferentFault) {
+  // Each of these used to parse into a fault other than the one written
+  // (a truncated locale, a padded or hex number, an infinite time) or
+  // only failed through an out-of-range double-to-int cast.
+  for (const char* spec : {
+           "kill:locale=1.5,at=0",
+           "kill:locale=1e10,at=0",
+           "kill:locale=nan,at=0",
+           "kill:locale=0x10,at=0",
+           "kill:locale= 1,at=0",
+           "kill:locale=+1,at=0",
+           "kill:locale=99999999999,at=0",
+           "kill:locale=1,at=inf",
+           "kill:locale=1,at=0x1",
+           "kill:locale=1,at= 0.5",
+           "drop:p=0.1,peer=-0.5",
+           "drop:p=0.1,peer=-1",
+           "drop:p= 0.1",
+           "drop:p=0x0.1",
+           "drop:p=nan",
+           "stall:p=0.1,ms=inf",
+           "stall:p=0.1,ms=1e999",
+           "stall:p=0.1,ms=2374520455.2556167",
+           "stall:locale=2.7,ms=1",
+       }) {
+    EXPECT_THROW(FaultSpec::parse(spec), InvalidArgument) << spec;
+  }
+  // The plain forms still parse, exponents included.
+  EXPECT_EQ(FaultSpec::parse("kill:locale=12,at=2e-3").rules[0].locale, 12);
+  EXPECT_DOUBLE_EQ(FaultSpec::parse("drop:p=.5").rules[0].probability, 0.5);
+}
+
+TEST(FaultSpec, GridRejectsAPlanNamingALocaleItDoesNotHave) {
+  auto grid = LocaleGrid::square(4, 1);
+  for (const char* spec :
+       {"kill:locale=4,at=0", "drop:p=0.1,peer=4", "stall:locale=99,ms=1"}) {
+    FaultPlan plan(FaultSpec::parse(spec), 1);
+    EXPECT_THROW(grid.set_fault_plan(&plan), InvalidArgument) << spec;
+    EXPECT_EQ(grid.fault_plan(), nullptr);
+  }
+  FaultPlan ok(FaultSpec::parse("kill:locale=3,at=0;drop:p=0.1,peer=3"), 1);
+  grid.set_fault_plan(&ok);
+  EXPECT_EQ(grid.fault_plan(), &ok);
+  grid.set_fault_plan(nullptr);
+}
+
+TEST(FaultSpec, MutatedSpecsThrowOrRoundTrip) {
+  // Seeded byte mutations of the valid specs used across the tests and
+  // CI. Every mutant either throws InvalidArgument or parses to a spec
+  // whose canonical rendering is a fixed point of parse + to_string.
+  const std::vector<std::string> seeds = {
+      "drop:p=0.01",
+      "drop:p=0.02,peer=3;stall:p=0.001,ms=0.5",
+      "stall:locale=7,ms=0.5",
+      "corrupt:p=0.005;kill:locale=5,at=0.002",
+      "drop:p=0.1;dup:p=0.2,peer=3;corrupt:p=0.05;stall:p=0.01,ms=0.5;"
+      "kill:locale=2,at=0.002",
+      "kill:locale=11,at=0.05",
+  };
+  const std::string alphabet = "0123456789.eE+-,;:=x pnalmsti";
+  Xoshiro256 rng(2024);
+  int parsed = 0;
+  for (int iter = 0; iter < 6000; ++iter) {
+    std::string m = seeds[rng.next() % seeds.size()];
+    const int edits = 1 + static_cast<int>(rng.next() % 3);
+    for (int e = 0; e < edits && !m.empty(); ++e) {
+      const std::size_t at = rng.next() % m.size();
+      const char c = rng.next() % 4 == 0
+                         ? static_cast<char>(rng.next() % 256)
+                         : alphabet[rng.next() % alphabet.size()];
+      switch (rng.next() % 3) {
+        case 0: m[at] = c; break;
+        case 1: m.insert(m.begin() + static_cast<std::ptrdiff_t>(at), c); break;
+        default: m.erase(at, 1); break;
+      }
+    }
+    std::string canon;
+    try {
+      canon = FaultSpec::parse(m).to_string();
+    } catch (const InvalidArgument&) {
+      continue;
+    }
+    ++parsed;
+    EXPECT_EQ(FaultSpec::parse(canon).to_string(), canon) << "mutant: " << m;
+  }
+  EXPECT_GT(parsed, 0);
 }
 
 TEST(FaultPlan, SourceTargetedStallIsDeterministicAndAlignsRngStream) {
@@ -409,12 +498,12 @@ TEST(Checkpoint, SaveAndRestoreChargeSimulatedTime) {
   c.put_dense("dense", dense);
   c.round = 1;
   const double t0 = grid.time();
-  charge_checkpoint_save(grid, c, 5e9);
+  charge_checkpoint_save(grid, c);
   const double t1 = grid.time();
   EXPECT_GT(t1, t0);
   EXPECT_EQ(grid.metrics().counter("ckpt.saves").value, 1);
   EXPECT_EQ(grid.metrics().counter("ckpt.bytes").value, c.total_bytes());
-  charge_checkpoint_restore(grid, c, 5e9, 1 << 20);
+  charge_checkpoint_restore(grid, c, 1 << 20);
   EXPECT_GT(grid.time(), t1);
   EXPECT_EQ(grid.metrics().counter("ckpt.restores").value, 1);
 }
@@ -447,10 +536,12 @@ TEST(Recovery, BfsRecoversBitIdenticalFromCheckpoint) {
   grid.reset();
   FaultPlan plan(
       FaultSpec::parse("kill:locale=1,at=" + std::to_string(total * 0.4)), 3);
-  RecoveryOptions ropt;
+  ResilienceOptions ropt;
+  ropt.policy = RecoveryPolicy::kRollback;
   ropt.checkpoint_every = 2;
   RecoveryReport stats;
-  const BfsResult rec = bfs_with_recovery(a, 0, {}, &plan, ropt, &stats);
+  const BfsResult rec =
+      run_resilient(grid, &plan, bfs_recovery_loop(a, 0, {}), ropt, &stats);
   EXPECT_EQ(rec.parent, base.parent);
   EXPECT_EQ(rec.level_sizes, base.level_sizes);
   EXPECT_GE(stats.restarts, 1);
@@ -473,10 +564,12 @@ TEST(Recovery, SsspRecoversBitIdenticalFromCheckpoint) {
   grid.reset();
   FaultPlan plan(
       FaultSpec::parse("kill:locale=2,at=" + std::to_string(total * 0.5)), 3);
-  RecoveryOptions ropt;
+  ResilienceOptions ropt;
+  ropt.policy = RecoveryPolicy::kRollback;
   ropt.checkpoint_every = 2;
   RecoveryReport stats;
-  const SsspResult rec = sssp_with_recovery(a, 0, {}, &plan, ropt, &stats);
+  const SsspResult rec =
+      run_resilient(grid, &plan, sssp_recovery_loop(a, 0, {}), ropt, &stats);
   EXPECT_EQ(rec.dist, base.dist);  // exact double equality
   EXPECT_EQ(rec.rounds, base.rounds);
   EXPECT_GE(stats.restarts, 1);
@@ -493,11 +586,13 @@ TEST(Recovery, PagerankRecoversBitIdenticalFromCheckpoint) {
   grid.reset();
   FaultPlan plan(
       FaultSpec::parse("kill:locale=3,at=" + std::to_string(total * 0.5)), 3);
-  RecoveryOptions ropt;
+  ResilienceOptions ropt;
+  ropt.policy = RecoveryPolicy::kRollback;
   ropt.checkpoint_every = 4;
   RecoveryReport stats;
   const PagerankResult rec =
-      pagerank_with_recovery(a, &plan, 0.85, 1e-8, 50, ropt, &stats);
+      run_resilient(grid, &plan, pagerank_recovery_loop(a, 0.85, 1e-8, 50),
+                    ropt, &stats);
   EXPECT_EQ(rec.rank, base.rank);  // exact double equality
   EXPECT_EQ(rec.iterations, base.iterations);
   EXPECT_EQ(rec.residual, base.residual);
@@ -514,10 +609,12 @@ TEST(Recovery, WithoutCheckpointsRestartsFromScratch) {
   grid.reset();
   FaultPlan plan(
       FaultSpec::parse("kill:locale=1,at=" + std::to_string(total * 0.4)), 3);
-  RecoveryOptions ropt;
+  ResilienceOptions ropt;
+  ropt.policy = RecoveryPolicy::kRollback;
   ropt.checkpoint_every = 0;  // no snapshots: recovery = full re-run
   RecoveryReport stats;
-  const BfsResult rec = bfs_with_recovery(a, 0, {}, &plan, ropt, &stats);
+  const BfsResult rec =
+      run_resilient(grid, &plan, bfs_recovery_loop(a, 0, {}), ropt, &stats);
   EXPECT_EQ(rec.parent, base.parent);
   EXPECT_EQ(rec.level_sizes, base.level_sizes);
   EXPECT_GE(stats.restarts, 1);
@@ -533,10 +630,12 @@ TEST(Recovery, FaultFreeRunUnderDriverMatchesPlainRun) {
   const BfsResult base = bfs(a, 0, {});
 
   grid.reset();
-  RecoveryOptions ropt;
+  ResilienceOptions ropt;
+  ropt.policy = RecoveryPolicy::kRollback;
   ropt.checkpoint_every = 2;
   RecoveryReport stats;
-  const BfsResult rec = bfs_with_recovery(a, 0, {}, nullptr, ropt, &stats);
+  const BfsResult rec =
+      run_resilient(grid, nullptr, bfs_recovery_loop(a, 0, {}), ropt, &stats);
   EXPECT_EQ(rec.parent, base.parent);
   EXPECT_EQ(rec.level_sizes, base.level_sizes);
   EXPECT_EQ(stats.restarts, 0);

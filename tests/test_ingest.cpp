@@ -16,6 +16,7 @@
 #include "algo/pagerank.hpp"
 #include "fault/fault.hpp"
 #include "ingest/ingest.hpp"
+#include "obs/trace.hpp"
 #include "service/event_log.hpp"
 #include "sparse/coo.hpp"
 
@@ -424,6 +425,78 @@ TEST(IngestRecoveryTest, KillDuringCompactionRecoversBitIdentical) {
   const StreamRun killed = run_stream(&plan, 6, /*compact_every=*/1);
   EXPECT_EQ(killed.epoch_hashes, base.epoch_hashes);
   EXPECT_GE(killed.stats.replays, 1);
+}
+
+TEST(IngestRecoveryTest, KillInsideAStageLeavesTheDriverInstant) {
+  auto grid = LocaleGrid::square(8, 2);
+  auto a = DistCsr<double>::from_coo(grid, base_coo(kN));
+  GraphStore store;
+  const auto h = store.load(std::make_shared<DistCsr<double>>(a));
+  obs::TraceSession session;
+  grid.set_trace_session(&session);
+  IngestStream stream(grid, store, h, a);
+  FaultPlan plan(FaultSpec::parse("kill:locale=3,at=0"), 5);
+  grid.set_fault_plan(&plan);
+  MutationRng rng{43};
+  IngestMix mix;
+  mix.erase = 1;
+  stream.apply(make_mutation_batch(rng, kN, 64, mix, 1));
+  grid.set_fault_plan(nullptr);
+  EXPECT_EQ(stream.stats().replays, 1);
+  int found = 0;
+  for (const auto& in : session.instants()) {
+    if (in.name != "recovery.rebuild_started") continue;
+    ++found;
+    EXPECT_EQ(in.track, 3);  // the dead host
+    ASSERT_EQ(in.args.size(), 3u);
+    EXPECT_EQ(in.args[0].key, "logical");
+    EXPECT_EQ(in.args[0].value, "3");
+    EXPECT_EQ(in.args[1].value, "degraded");
+    EXPECT_EQ(in.args[2].value, "-1");  // a stage keeps no snapshot
+  }
+  EXPECT_EQ(found, 1);
+  grid.set_trace_session(nullptr);
+}
+
+TEST(IngestRecoveryTest, FailureBudgetIsFourKillsPerStage) {
+  // Kills at t=0 on locales 0..k-1 of 16: distinct locales, buddies
+  // (8..) alive. Four are survived inside one apply; a fifth rethrows.
+  const auto kills = [](int k) {
+    std::string spec;
+    for (int l = 0; l < k; ++l) {
+      spec += (l > 0 ? ";" : "") + std::string("kill:locale=") +
+              std::to_string(l) + ",at=0";
+    }
+    return FaultSpec::parse(spec);
+  };
+  for (const int k : {4, 5}) {
+    auto grid = LocaleGrid::square(16, 2);
+    auto a = DistCsr<double>::from_coo(grid, base_coo(kN));
+    GraphStore store;
+    const auto h = store.load(std::make_shared<DistCsr<double>>(a));
+    IngestStream stream(grid, store, h, a);
+    FaultPlan plan(kills(k), 5);
+    RetryPolicy outer;
+    outer.max_attempts = 7;
+    grid.set_fault_plan(&plan);
+    grid.set_retry_policy(outer);
+    MutationRng rng{43};
+    const MutationBatch b = make_mutation_batch(rng, kN, 64, IngestMix{}, 1);
+    if (k == 4) {
+      stream.apply(b);
+      EXPECT_EQ(stream.stats().replays, 4);
+      EXPECT_EQ(stream.acked_seq(), 1);
+    } else {
+      EXPECT_THROW(stream.apply(b), LocaleFailed);
+      EXPECT_EQ(stream.acked_seq(), 0);
+    }
+    // The stage's guard put back the plan and retry policy attached
+    // before it; the remaps stay (ingest keeps membership).
+    EXPECT_EQ(grid.fault_plan(), &plan);
+    EXPECT_EQ(grid.retry_policy().max_attempts, 7);
+    EXPECT_TRUE(grid.membership().remapped());
+    grid.set_fault_plan(nullptr);
+  }
 }
 
 TEST(IngestRecoveryTest, RecoveryReadsReplicasNotThePrimary) {

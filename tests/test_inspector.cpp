@@ -16,7 +16,6 @@
 #include "core/assign_general.hpp"
 #include "core/ops.hpp"
 #include "core/spmspv.hpp"
-#include "fault/rebuild.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/random_vec.hpp"
 #include "runtime/dist.hpp"
@@ -414,9 +413,10 @@ TEST(InspectorRecovery, KillDegradedRemapBitIdenticalUnderAuto) {
   auto chaos = [&] {
     grid.reset();
     FaultPlan plan(FaultSpec::parse(faults), 21);
-    RebuildOptions bopt;  // degraded by default
+    ResilienceOptions bopt;  // degraded by default
     RecoveryReport report;
-    auto res = bfs_with_rebuild(a, 0, opt, &plan, bopt, &report);
+    auto res = run_resilient(grid, &plan, bfs_recovery_loop(a, 0, opt), bopt,
+                             &report);
     return std::make_tuple(res, grid.time(), report.rebuilds);
   };
   const auto [r1, t1, n1] = chaos();

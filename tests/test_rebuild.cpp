@@ -15,7 +15,6 @@
 #include "algo/sssp.hpp"
 #include "core/ops.hpp"
 #include "core/spmspv.hpp"
-#include "fault/rebuild.hpp"
 #include "fault/replica.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/random_vec.hpp"
@@ -267,16 +266,17 @@ struct RebuildRun {
 };
 
 RebuildRun run_bfs_rebuild(LocaleGrid& grid, const DistCsr<double>& a,
-                           CommMode mode, RebuildMode rmode,
+                           CommMode mode, RecoveryPolicy rmode,
                            const std::string& faults) {
   grid.reset();
   SpmspvOptions opt;
   opt.comm = mode;
   FaultPlan plan(FaultSpec::parse(faults), 21);
-  RebuildOptions bopt;
-  bopt.mode = rmode;
+  ResilienceOptions bopt;
+  bopt.policy = rmode;
   RebuildRun out;
-  out.res = bfs_with_rebuild(a, 0, opt, &plan, bopt, &out.report);
+  out.res = run_resilient(grid, &plan, bfs_recovery_loop(a, 0, opt), bopt,
+                          &out.report);
   out.time = grid.time();
   out.messages = grid.hot().messages->value;
   return out;
@@ -296,8 +296,8 @@ TEST(Rebuild, KillRebuildBitIdenticalAcrossModesAndDeterministic) {
     const std::string faults =
         "kill:locale=1,at=" + std::to_string(total * 0.4);
 
-    for (const RebuildMode rmode :
-         {RebuildMode::kDegraded, RebuildMode::kSpare}) {
+    for (const RecoveryPolicy rmode :
+         {RecoveryPolicy::kDegraded, RecoveryPolicy::kSpare}) {
       const RebuildRun r1 = run_bfs_rebuild(grid, a, mode, rmode, faults);
       const RebuildRun r2 = run_bfs_rebuild(grid, a, mode, rmode, faults);
       // Bit-identical to the fault-free run...
@@ -327,9 +327,10 @@ TEST(Rebuild, SsspDegradedBitIdentical) {
   grid.reset();
   FaultPlan plan(
       FaultSpec::parse("kill:locale=2,at=" + std::to_string(total * 0.5)), 3);
-  RebuildOptions bopt;  // degraded by default
+  ResilienceOptions bopt;  // degraded by default
   RecoveryReport report;
-  const SsspResult rec = sssp_with_rebuild(a, 0, {}, &plan, bopt, &report);
+  const SsspResult rec =
+      run_resilient(grid, &plan, sssp_recovery_loop(a, 0, {}), bopt, &report);
   EXPECT_EQ(rec.dist, base.dist);  // exact double equality
   EXPECT_EQ(rec.rounds, base.rounds);
   EXPECT_GE(report.rebuilds, 1);
@@ -348,12 +349,12 @@ TEST(Rebuild, PagerankParityDegradedBitIdentical) {
   grid.reset();
   FaultPlan plan(
       FaultSpec::parse("kill:locale=5,at=" + std::to_string(total * 0.5)), 3);
-  RebuildOptions bopt;
+  ResilienceOptions bopt;
   bopt.replica.scheme = ReplicaScheme::kParity;
   bopt.replica.parity_group = 4;
   RecoveryReport report;
-  const PagerankResult rec =
-      pagerank_with_rebuild(a, &plan, 0.85, 1e-8, 40, bopt, &report);
+  const PagerankResult rec = run_resilient(
+      grid, &plan, pagerank_recovery_loop(a, 0.85, 1e-8, 40), bopt, &report);
   EXPECT_EQ(rec.rank, base.rank);  // exact double equality
   EXPECT_EQ(rec.iterations, base.iterations);
   EXPECT_EQ(rec.residual, base.residual);
@@ -368,7 +369,8 @@ TEST(Rebuild, FaultFreeRunMatchesPlainAndPricesReplication) {
 
   grid.reset();
   RecoveryReport report;
-  const BfsResult rec = bfs_with_rebuild(a, 0, {}, nullptr, {}, &report);
+  const BfsResult rec = run_resilient(
+      grid, nullptr, bfs_recovery_loop(a, 0, {}), ResilienceOptions{}, &report);
   EXPECT_EQ(rec.parent, base.parent);
   EXPECT_EQ(rec.level_sizes, base.level_sizes);
   EXPECT_EQ(report.rebuilds, 0);
@@ -394,11 +396,61 @@ TEST(Rebuild, SecondFailureTakingTheBuddyRethrows) {
                      "kill:locale=1,at=" + std::to_string(total * 0.3) +
                      ";kill:locale=3,at=" + std::to_string(total * 0.3)),
                  3);
-  RebuildOptions bopt;
-  EXPECT_THROW(bfs_with_rebuild(a, 0, {}, &plan, bopt), LocaleFailed);
+  ResilienceOptions bopt;
+  EXPECT_THROW(run_resilient(grid, &plan, bfs_recovery_loop(a, 0, {}), bopt),
+               LocaleFailed);
   // Even on the throwing path, the guard restored the grid.
   EXPECT_FALSE(grid.membership().remapped());
   EXPECT_EQ(grid.fault_plan(), nullptr);
+}
+
+// ---- the failure budget: one for every policy --------------------------
+
+/// `kills` kills at t=0 on locales 0, 1, ...: distinct locales whose
+/// buddies (8 on) stay alive on a 16-locale grid.
+FaultSpec first_locales_killed(int kills) {
+  std::string spec;
+  for (int l = 0; l < kills; ++l) {
+    spec += (l > 0 ? ";" : "") + std::string("kill:locale=") +
+            std::to_string(l) + ",at=0";
+  }
+  return FaultSpec::parse(spec);
+}
+
+TEST(Resilience, FailureBudgetIsFourKillsForEveryPolicy) {
+  for (const RecoveryPolicy policy :
+       {RecoveryPolicy::kRollback, RecoveryPolicy::kSpare,
+        RecoveryPolicy::kDegraded}) {
+    auto grid = LocaleGrid::square(16, 2);
+    auto a = erdos_renyi_dist<double>(grid, 800, 6.0, 11);
+    grid.reset();
+    const BfsResult base = bfs(a, 0, {});
+    ResilienceOptions opt;
+    opt.policy = policy;
+    RetryPolicy outer;
+    outer.max_attempts = 7;  // what the grid carries around the driver
+    ASSERT_EQ(kMaxFailures, 4);
+
+    grid.reset();
+    grid.set_retry_policy(outer);
+    FaultPlan four(first_locales_killed(kMaxFailures), 5);
+    RecoveryReport report;
+    const BfsResult res = run_resilient(
+        grid, &four, bfs_recovery_loop(a, 0, {}), opt, &report);
+    EXPECT_EQ(res.parent, base.parent) << to_string(policy);
+    EXPECT_EQ(report.restarts + report.rebuilds, kMaxFailures);
+
+    grid.reset();
+    FaultPlan five(first_locales_killed(kMaxFailures + 1), 5);
+    EXPECT_THROW(
+        run_resilient(grid, &five, bfs_recovery_loop(a, 0, {}), opt),
+        LocaleFailed)
+        << to_string(policy);
+    // The guard put back what was attached before the call.
+    EXPECT_EQ(grid.fault_plan(), nullptr);
+    EXPECT_EQ(grid.retry_policy().max_attempts, outer.max_attempts);
+    EXPECT_FALSE(grid.membership().remapped());
+  }
 }
 
 // ---- straggler-aware barriers + the SpMSpV shedding hook ---------------

@@ -353,10 +353,10 @@ TEST(BatchRecoveryTest, KillMidBatchRecoversBitIdentical) {
   FaultPlan plan(
       FaultSpec::parse("kill:locale=1,at=" + std::to_string(total * 0.4)),
       21);
-  RebuildOptions bopt;  // degraded by default
+  ResilienceOptions bopt;  // degraded by default
   RecoveryReport report;
-  const std::vector<BfsResult> rec =
-      bfs_batch_with_rebuild(a, sources, opt, &plan, bopt, &report);
+  const std::vector<BfsResult> rec = run_resilient(
+      grid, &plan, bfs_batch_recovery_loop(a, sources, opt), bopt, &report);
   EXPECT_GE(report.rebuilds, 1);
   ASSERT_EQ(rec.size(), base.size());
   for (std::size_t i = 0; i < base.size(); ++i) {
@@ -879,7 +879,7 @@ TEST(ResilienceTest, HealthReportsDegradedServingAfterMidTrafficKill) {
     cfg.batch_max = 4;
     cfg.spmspv = opt;
     cfg.plan = &plan;
-    cfg.rebuild.keep_membership = true;
+    cfg.resilience.keep_membership = true;
     cfg.report = &report;
     GraphService svc(grid, cfg);
     const auto h = svc.store().load(make_graph(grid, 800, 8.0, 11));

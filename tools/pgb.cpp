@@ -185,9 +185,7 @@ int run(int argc, char** argv) {
               "--machine must be edison or modern");
   PGB_REQUIRE(agg_capacity >= 1,
               "--agg-capacity must be a positive element count");
-  PGB_REQUIRE(recovery_flag == "rollback" || recovery_flag == "rebuild" ||
-                  recovery_flag == "degraded",
-              "--recovery must be rollback, rebuild, or degraded");
+  const RecoveryPolicy policy = parse_recovery_policy(recovery_flag);
   PGB_REQUIRE(replica_flag == "buddy" || replica_flag == "parity",
               "--replica must be buddy or parity");
   PGB_REQUIRE(straggler_ms >= 0.0, "--straggler-threshold-ms must be >= 0");
@@ -257,18 +255,14 @@ int run(int argc, char** argv) {
                 plan->spec().to_string().c_str(),
                 static_cast<unsigned long long>(fault_seed), retry_max);
   }
-  RecoveryOptions ropt;
+  ResilienceOptions ropt;
+  ropt.policy = policy;
   ropt.checkpoint_every = checkpoint_every;
-  ropt.retry = retry;
-  const bool use_rebuild = recovery_flag != "rollback";
-  RebuildOptions bopt;
-  bopt.mode = recovery_flag == "rebuild" ? RebuildMode::kSpare
-                                         : RebuildMode::kDegraded;
-  bopt.replica.scheme = replica_flag == "parity" ? ReplicaScheme::kParity
+  ropt.replica.scheme = replica_flag == "parity" ? ReplicaScheme::kParity
                                                  : ReplicaScheme::kBuddy;
-  bopt.replica.parity_group = parity_group;
-  bopt.replica.chunk_bytes = replica_chunk;
-  bopt.retry = retry;
+  ropt.replica.parity_group = parity_group;
+  ropt.replica.chunk_bytes = replica_chunk;
+  ropt.retry = retry;
   RecoveryReport report;
 
   grid.reset();
@@ -277,14 +271,14 @@ int run(int argc, char** argv) {
     grid.set_retry_policy(retry);
   }
   if (op == "bfs") {
-    // Under a fault plan BFS runs through a recovery driver — checkpoint
-    // rollback or localized rebuild per --recovery — which survives
-    // locale kills with a bit-identical result.
+    // Under a fault plan BFS runs through the resilient driver —
+    // checkpoint rollback or localized rebuild per --recovery — which
+    // survives locale kills with a bit-identical result.
     const BfsResult res =
-        !plan.has_value() ? bfs(a, source, comm)
-        : use_rebuild
-            ? bfs_with_rebuild(a, source, comm, &*plan, bopt, &report)
-            : bfs_with_recovery(a, source, comm, &*plan, ropt, &report);
+        !plan.has_value()
+            ? bfs(a, source, comm)
+            : run_resilient(grid, &*plan, bfs_recovery_loop(a, source, comm),
+                            ropt, &report);
     Index reached = 0;
     for (Index s : res.level_sizes) reached += s;
     std::printf("bfs: reached %lld vertices in %zu levels\n",
@@ -303,11 +297,11 @@ int run(int argc, char** argv) {
                 static_cast<long long>(res.num_components), res.rounds);
   } else if (op == "pagerank") {
     const PagerankResult res =
-        !plan.has_value() ? pagerank(a)
-        : use_rebuild
-            ? pagerank_with_rebuild(a, &*plan, 0.85, 1e-8, 100, bopt, &report)
-            : pagerank_with_recovery(a, &*plan, 0.85, 1e-8, 100, ropt,
-                                     &report);
+        !plan.has_value()
+            ? pagerank(a)
+            : run_resilient(grid, &*plan,
+                            pagerank_recovery_loop(a, 0.85, 1e-8, 100), ropt,
+                            &report);
     Index best = 0;
     for (Index v = 1; v < a.nrows(); ++v) {
       if (res.rank[static_cast<std::size_t>(v)] >
@@ -320,10 +314,10 @@ int run(int argc, char** argv) {
                 res.rank[static_cast<std::size_t>(best)]);
   } else if (op == "sssp") {
     const SsspResult res =
-        !plan.has_value() ? sssp(a, source, comm)
-        : use_rebuild
-            ? sssp_with_rebuild(a, source, comm, &*plan, bopt, &report)
-            : sssp_with_recovery(a, source, comm, &*plan, ropt, &report);
+        !plan.has_value()
+            ? sssp(a, source, comm)
+            : run_resilient(grid, &*plan, sssp_recovery_loop(a, source, comm),
+                            ropt, &report);
     Index reached = 0;
     for (double dv : res.dist) {
       if (dv != SsspResult::kUnreachable) ++reached;
@@ -442,7 +436,9 @@ int run(int argc, char** argv) {
       // Recovery driver is part of the workload identity, but keep the
       // legacy string for the default (rollback) so existing committed
       // profiles still diff cleanly.
-      if (use_rebuild) workload += " recovery=" + recovery_flag;
+      if (policy != RecoveryPolicy::kRollback) {
+        workload += " recovery=" + recovery_flag;
+      }
     }
     prof.workload = workload;
     prof.comm = to_string(comm.comm);

@@ -320,7 +320,8 @@ int run(int argc, char** argv) {
   PGB_REQUIRE(retry_floor_ms > 0.0, "--retry-floor-ms must be > 0");
   PGB_REQUIRE(watermark >= 1 && watermark <= 1048576,
               "--watermark must be an integer in [1, 1048576]");
-  PGB_REQUIRE(recovery_flag == "rebuild" || recovery_flag == "degraded",
+  const RecoveryPolicy policy = parse_recovery_policy(recovery_flag);
+  PGB_REQUIRE(policy != RecoveryPolicy::kRollback,
               "--recovery must be rebuild or degraded");
   PGB_REQUIRE(replica_flag == "buddy" || replica_flag == "parity",
               "--replica must be buddy or parity");
@@ -346,7 +347,7 @@ int run(int argc, char** argv) {
     FaultSpec spec = FaultSpec::parse(faults);
     bool kills = false;
     for (const auto& r : spec.rules) kills |= r.kind == FaultKind::kLocaleFail;
-    // Only the frontier kinds run under the rebuild driver; a kill would
+    // Only the frontier kinds run under the resilient driver; a kill would
     // strand an in-flight subgraph query.
     PGB_REQUIRE(!kills || (mix.pr == 0 && mix.ego == 0),
                 "--faults with kill needs a bfs/sssp-only --mix");
@@ -436,18 +437,17 @@ int run(int argc, char** argv) {
   cfg.compact_watermark = watermark;
   if (plan.has_value()) {
     cfg.plan = &*plan;
-    cfg.rebuild.mode = recovery_flag == "rebuild" ? RebuildMode::kSpare
-                                                  : RebuildMode::kDegraded;
-    cfg.rebuild.replica.scheme = replica_flag == "parity"
-                                     ? ReplicaScheme::kParity
-                                     : ReplicaScheme::kBuddy;
-    cfg.rebuild.replica.parity_group = parity_group;
-    cfg.rebuild.replica.chunk_bytes = replica_chunk;
+    cfg.resilience.policy = policy;
+    cfg.resilience.replica.scheme = replica_flag == "parity"
+                                        ? ReplicaScheme::kParity
+                                        : ReplicaScheme::kBuddy;
+    cfg.resilience.replica.parity_group = parity_group;
+    cfg.resilience.replica.chunk_bytes = replica_chunk;
     // Serving owns the grid for its whole lifetime: after a kill, keep
     // the degraded remap installed between batches so every later batch
     // starts on the surviving hosts instead of re-failing into a
     // per-batch rebuild.
-    cfg.rebuild.keep_membership = true;
+    cfg.resilience.keep_membership = true;
     cfg.report = &report;
   }
   if (!event_log_file.empty()) cfg.health_log_every = health_every;
