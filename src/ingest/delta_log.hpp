@@ -131,10 +131,12 @@ struct DeltaLogPage {
     return h;
   }
   void stamp() { checksum = compute_checksum(); }
+  /// Checksum matches and the payload holds exactly `count` deltas
+  /// (compared by division: `count` is untrusted wire data).
   bool valid() const {
-    return checksum == compute_checksum() &&
-           static_cast<std::int64_t>(payload.size()) ==
-               count * kEdgeDeltaBytes;
+    const auto n = static_cast<std::int64_t>(payload.size());
+    return checksum == compute_checksum() && n % kEdgeDeltaBytes == 0 &&
+           count == n / kEdgeDeltaBytes;
   }
 
   std::vector<EdgeDelta> decode() const {
@@ -237,8 +239,9 @@ struct ReplayResult {
 
 /// Walks a mirrored log byte stream and returns the replayable prefix:
 /// frames are accepted in order while (a) the frame is complete, (b) its
-/// checksum verifies, and (c) its sequence number is <= `durable_seq`
-/// (the last acknowledged batch). The first violation stops the walk —
+/// checksum verifies, (c) its sequence number is non-negative and above
+/// the previous frame's, and (d) it is <= `durable_seq` (the last
+/// acknowledged batch). The first violation stops the walk —
 /// everything after is the discarded suffix. Never throws: a torn or
 /// corrupt tail is an expected artifact of a kill mid-batch, not a
 /// programming error.
@@ -263,8 +266,8 @@ inline ReplayResult replay_log_bytes(const unsigned char* data, std::size_t n,
     }
     p.payload.assign(data + off + kPageHeaderBytes,
                      data + off + kPageHeaderBytes + len);
-    if (!p.valid()) {
-      r.torn_tail = true;  // checksum mismatch: corrupt frame
+    if (!p.valid() || p.seq <= r.last_seq) {
+      r.torn_tail = true;  // checksum mismatch or out of order: corrupt
       stopped = true;
       break;
     }

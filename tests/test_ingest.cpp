@@ -5,6 +5,8 @@
 // paths (union-find CC, warm-restart pagerank).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -19,6 +21,7 @@
 #include "obs/trace.hpp"
 #include "service/event_log.hpp"
 #include "sparse/coo.hpp"
+#include "util/rng.hpp"
 
 namespace pgb {
 namespace {
@@ -217,6 +220,123 @@ TEST(DeltaLogTest, ReplayCorruptionTableEveryByteOffset) {
       EXPECT_TRUE(r.pages[k].valid());
     }
   }
+}
+
+TEST(DeltaLogTest, HugeCountFrameReplaysTorn) {
+  // The frame claims INT64_MAX/4 deltas over a two-delta payload, and
+  // its checksum is re-stamped, so only the count check stands between
+  // it and replay. The check must reject it without overflowing.
+  MutationRng rng{19};
+  DeltaLogPage p = DeltaLogPage::encode(
+      1, make_mutation_batch(rng, kN, 2, IngestMix{}, 1).deltas);
+  p.count = std::numeric_limits<std::int64_t>::max() / 4;
+  p.stamp();
+  EXPECT_FALSE(p.valid());
+  std::vector<unsigned char> bytes;
+  frame_append(bytes, p);
+  const ReplayResult r = replay_log_bytes(bytes.data(), bytes.size(), 1);
+  EXPECT_TRUE(r.pages.empty());
+  EXPECT_TRUE(r.torn_tail);
+  EXPECT_EQ(r.bytes_discarded, static_cast<std::int64_t>(bytes.size()));
+}
+
+/// Recomputes the checksum of each frame, front to back, while its
+/// header still parses: the mutant's header fields then meet replay's
+/// other checks instead of failing on the checksum.
+void restamp_frames(std::vector<unsigned char>& bytes) {
+  std::size_t off = 0;
+  while (off + kPageHeaderBytes <= bytes.size()) {
+    DeltaLogPage p;
+    std::int64_t len = 0;
+    std::memcpy(&p.seq, bytes.data() + off, 8);
+    std::memcpy(&p.count, bytes.data() + off + 8, 8);
+    std::memcpy(&len, bytes.data() + off + 16, 8);
+    const std::size_t body = off + kPageHeaderBytes;
+    if (len < 0 || static_cast<std::uint64_t>(len) > bytes.size() - body) {
+      return;
+    }
+    p.payload.assign(bytes.begin() + static_cast<std::ptrdiff_t>(body),
+                     bytes.begin() + static_cast<std::ptrdiff_t>(body) + len);
+    const std::uint64_t sum = p.compute_checksum();
+    std::memcpy(bytes.data() + off + 24, &sum, 8);
+    off = body + static_cast<std::size_t>(len);
+  }
+}
+
+TEST(DeltaLogTest, MutatedMirrorStreamsReplaySafely) {
+  // Seeded byte mutations of valid mirror streams: bit flips, header
+  // fields overwritten with edge values, inserted bytes and cuts. Odd
+  // iterations re-stamp the mutant's checksums before replay.
+  MutationRng gen{23};
+  struct Stream {
+    std::vector<unsigned char> bytes;
+    std::vector<std::size_t> frames;  ///< offset of each frame
+  };
+  std::vector<Stream> streams(4);
+  for (int k = 0; k < 4; ++k) {
+    for (std::int64_t seq = 1; seq <= 2 + k; ++seq) {
+      streams[k].frames.push_back(streams[k].bytes.size());
+      const int count = static_cast<int>((seq * (k + 1)) % 4);
+      const auto ds = count == 0 ? std::vector<EdgeDelta>{}
+                                 : make_mutation_batch(gen, kN, count,
+                                                       IngestMix{}, seq)
+                                       .deltas;
+      frame_append(streams[k].bytes, DeltaLogPage::encode(seq, ds));
+    }
+  }
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t edge[] = {0,         1,        -1,          2,
+                               28,        56,       3 * 28 + 1,  1ll << 32,
+                               kMax,      kMax / 4, kMax / 28 + 1,
+                               -kMax - 1, 7};
+  Xoshiro256 rng(2024);
+  int with_pages = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    const Stream& src = streams[rng.next() % streams.size()];
+    std::vector<unsigned char> m = src.bytes;
+    const int edits = 1 + static_cast<int>(rng.next() % 3);
+    for (int e = 0; e < edits && !m.empty(); ++e) {
+      const std::size_t at = rng.next() % m.size();
+      switch (rng.next() % 4) {
+        case 0:
+          m[at] ^= static_cast<unsigned char>(1u << (rng.next() % 8));
+          break;
+        case 1: {
+          const std::size_t field = src.frames[rng.next() % src.frames.size()] +
+                                    8 * (rng.next() % 4);
+          const std::int64_t v = edge[rng.next() % std::size(edge)];
+          if (field + 8 <= m.size()) std::memcpy(m.data() + field, &v, 8);
+          break;
+        }
+        case 2:
+          m.insert(m.begin() + static_cast<std::ptrdiff_t>(at),
+                   static_cast<unsigned char>(rng.next()));
+          break;
+        default:
+          m.resize(at);
+          break;
+      }
+    }
+    if (iter % 2 == 1) restamp_frames(m);
+    const std::int64_t durable = 1 + static_cast<std::int64_t>(rng.next() % 6);
+    SCOPED_TRACE(iter);
+    ReplayResult r;
+    ASSERT_NO_THROW(r = replay_log_bytes(m.data(), m.size(), durable));
+    EXPECT_EQ(r.bytes_consumed + r.bytes_discarded,
+              static_cast<std::int64_t>(m.size()));
+    std::int64_t prev = -1, consumed = 0;
+    for (const DeltaLogPage& p : r.pages) {
+      ASSERT_TRUE(p.valid());
+      EXPECT_EQ(static_cast<std::int64_t>(p.decode().size()), p.count);
+      EXPECT_GT(p.seq, prev);
+      EXPECT_LE(p.seq, durable);
+      prev = p.seq;
+      consumed += p.frame_bytes();
+    }
+    EXPECT_EQ(consumed, r.bytes_consumed);
+    with_pages += r.pages.empty() ? 0 : 1;
+  }
+  EXPECT_GT(with_pages, 0);
 }
 
 // ---------------------------------------------------------------------
