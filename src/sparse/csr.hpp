@@ -73,11 +73,16 @@ class Csr {
     return &vals_[static_cast<std::size_t>(rowptr_[r] + (it - row.begin()))];
   }
 
+  /// rowptr starts at 0, never falls and ends at nnz; each row's colids
+  /// ascend strictly within [0, ncols). rowptr is checked in full first,
+  /// so the column scan never reads past colids.
   bool check_invariants() const {
     if (rowptr_.size() != static_cast<std::size_t>(nrows_) + 1) return false;
-    if (rowptr_[0] != 0) return false;
+    if (rowptr_[0] != 0 || rowptr_[nrows_] != nnz()) return false;
     for (Index r = 0; r < nrows_; ++r) {
       if (rowptr_[r + 1] < rowptr_[r]) return false;
+    }
+    for (Index r = 0; r < nrows_; ++r) {
       for (Index k = rowptr_[r] + 1; k < rowptr_[r + 1]; ++k) {
         if (colids_[k - 1] >= colids_[k]) return false;
       }
@@ -85,7 +90,7 @@ class Csr {
         if (colids_[k] < 0 || colids_[k] >= ncols_) return false;
       }
     }
-    return rowptr_[nrows_] == nnz();
+    return true;
   }
 
  private:
