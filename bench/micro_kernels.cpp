@@ -1,10 +1,12 @@
 // Host-side microbenchmarks (google-benchmark) of the *real* kernels the
 // simulator executes: sorting, SPA accumulation and sorted output,
-// sparse-domain search and merge. These measure actual wall time on the
-// machine running the bench — they validate that the library's real data
-// structures are sound, independent of the Edison cost model.
+// sparse-domain search and merge, and the ingest overlay's publish-time
+// materialize. These measure actual wall time on the machine running
+// the bench — they validate that the library's real data structures are
+// sound, independent of the Edison cost model.
 #include <benchmark/benchmark.h>
 
+#include "sparse/csr_overlay.hpp"
 #include "sparse/spa.hpp"
 #include "sparse/sparse_domain.hpp"
 #include "util/rng.hpp"
@@ -115,6 +117,60 @@ void BM_DomainBulkAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_DomainBulkAdd)->Range(1 << 10, 1 << 18);
+
+/// One serve-ingest block: 12500 rows of a 100000-column matrix (ER
+/// n=100k on an 8x8 grid), about 12.6k entries in the global column
+/// range [37500, 50000).
+Csr<double> ingest_block() {
+  constexpr Index kRows = 12500, kClo = 37500;
+  Xoshiro256 rng(11);
+  std::vector<std::pair<Index, Index>> rc(12600);
+  for (auto& [r, c] : rc) {
+    r = static_cast<Index>(rng.next_below(kRows));
+    c = kClo + static_cast<Index>(rng.next_below(kRows));
+  }
+  std::sort(rc.begin(), rc.end());
+  rc.erase(std::unique(rc.begin(), rc.end()), rc.end());
+  std::vector<Index> rowptr(kRows + 1, 0);
+  std::vector<Index> colids;
+  for (const auto& [r, c] : rc) {
+    ++rowptr[static_cast<std::size_t>(r) + 1];
+    colids.push_back(c);
+  }
+  for (Index r = 0; r < kRows; ++r) rowptr[r + 1] += rowptr[r];
+  std::vector<double> vals(colids.size(), 0.5);
+  return Csr<double>::from_parts(kRows, 100000, std::move(rowptr),
+                                 std::move(colids), std::move(vals));
+}
+
+/// Publish-time materialize of one block with `dirty` rows carrying one
+/// insert each: 4 rows is one 256-mutation batch's share of a 64-block
+/// serve-ingest graph, 52 a whole pass's. The Csr it builds runs the
+/// full invariant check, timed alone by BM_CsrCheckInvariants.
+void BM_OverlayMaterialize(benchmark::State& state) {
+  const Csr<double> base = ingest_block();
+  CsrOverlay<double> ov(&base);
+  Xoshiro256 rng(12);
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    ov.apply(static_cast<Index>(rng.next_below(12500)),
+             37500 + static_cast<Index>(rng.next_below(12500)), 0.25, true);
+  }
+  for (auto _ : state) {
+    std::int64_t touched = 0;
+    Csr<double> m = ov.materialize(&touched);
+    benchmark::DoNotOptimize(m.colids().data());
+    benchmark::DoNotOptimize(touched);
+  }
+  state.SetItemsProcessed(state.iterations() * base.nrows());
+}
+BENCHMARK(BM_OverlayMaterialize)->ArgName("dirty")->Arg(4)->Arg(52)->Arg(512);
+
+void BM_CsrCheckInvariants(benchmark::State& state) {
+  const Csr<double> block = ingest_block();
+  for (auto _ : state) benchmark::DoNotOptimize(block.check_invariants());
+  state.SetItemsProcessed(state.iterations() * block.nrows());
+}
+BENCHMARK(BM_CsrCheckInvariants);
 
 }  // namespace
 }  // namespace pgb
