@@ -13,11 +13,11 @@
 //            batch is replayable from the surviving mirror;
 //   publish  queries keep reading their pinned snapshot until publish()
 //            folds the acked pages into per-block overlays
-//            (sparse/csr_overlay.hpp read-through) and installs the
-//            materialized result as the handle's next epoch. Once the
-//            pending overlay reaches `compact_every` entries, the
-//            published matrix becomes the new base: logs truncate and
-//            the base re-replicates to the buddies.
+//            (sparse/csr_overlay.hpp, deltas kept on dirty rows only)
+//            and installs the materialized result as the handle's next
+//            epoch. Once the pending overlay reaches `compact_every`
+//            entries, the published matrix becomes the new base: logs
+//            truncate and the base re-replicates to the buddies.
 //
 // Every stage (apply, each publish stage, compaction) is idempotent and
 // runs as a stateless one-round loop under the resilient driver
@@ -208,11 +208,11 @@ class IngestStream {
 
   /// Atomic epoch publish: folds the acked-but-unapplied pages into the
   /// per-block overlays, materializes base + overlay into a fresh
-  /// DistCsr (clean blocks copied straight through, dirty blocks merged
-  /// by read-through), and installs it under the handle. Snapshots
-  /// taken before the publish keep the prior version — readers never
-  /// observe a torn batch. Compacts once the pending overlay crosses
-  /// the threshold.
+  /// DistCsr (clean blocks copied whole; in a dirty block each run of
+  /// clean rows is block-copied and only dirty rows merge), and installs
+  /// it under the handle. Snapshots taken before the publish keep the
+  /// prior version — readers never observe a torn batch. Compacts once
+  /// the pending overlay crosses the threshold.
   std::uint64_t publish() {
     PGB_TRACE_SPAN(grid_, "ingest.publish",
                    {{"seq", std::to_string(acked_seq_)}});
@@ -252,8 +252,8 @@ class IngestStream {
         pending += ov.pending();
         std::int64_t touched = 0;
         if (ov.pending() == 0) {
-          // Clean block: the new epoch shares the base bytes (modeled
-          // zero-copy — no merge, no charge beyond the copy itself).
+          // Clean block: modeled as sharing the base bytes, so nothing
+          // is charged; the host deep-copies it.
           g->block(l).csr = base_.block(l).csr;
         } else {
           g->block(l).csr = ov.materialize(&touched);
