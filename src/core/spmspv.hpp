@@ -477,7 +477,12 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
   double t0 = grid.time();
   RemapView remap(grid.membership());
   std::vector<SparseVec<T>> ly(nloc);
-  grid.coforall_locales([&](LocaleCtx& ctx) {
+  // A shedding body also charges a helper's clock, so shedding keeps the
+  // serial loop; otherwise each body only computes on its own block.
+  const auto dispatch = opt.straggler_shed > 0.0
+                            ? &LocaleGrid::coforall_locales
+                            : &LocaleGrid::coforall_compute;
+  (grid.*dispatch)([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
     const auto& blk = a.block(l);
     // Straggler shedding (opt-in): if barrier detection flagged this
@@ -565,7 +570,7 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
     }
     grid.barrier_all();
   }
-  grid.coforall_locales([&](LocaleCtx& ctx) {
+  grid.coforall_compute([&](LocaleCtx& ctx) {
     const int o = ctx.locale();
     y.local(o) = finalize_owner(ctx, yspa[o], y.dist().local_size(o), mask,
                                 mask_mode);

@@ -167,7 +167,7 @@ std::vector<DistSparseVec<T>> spmspv_dist_multi(
   std::vector<std::vector<SparseVec<T>>> ly(
       static_cast<std::size_t>(k),
       std::vector<SparseVec<T>>(static_cast<std::size_t>(nloc)));
-  grid.coforall_locales([&](LocaleCtx& ctx) {
+  grid.coforall_compute([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
     const auto& blk = a.block(l);
     for (int q = 0; q < k; ++q) {
@@ -230,7 +230,7 @@ std::vector<DistSparseVec<T>> spmspv_dist_multi(
   });
   // Finalize each lane at its owners — the solo finalize, hence
   // byte-identical lane outputs.
-  grid.coforall_locales([&](LocaleCtx& ctx) {
+  grid.coforall_compute([&](LocaleCtx& ctx) {
     const int o = ctx.locale();
     for (int q = 0; q < k; ++q) {
       const DistDenseVec<std::uint8_t>* mask =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 namespace pgb {
 
@@ -20,6 +21,13 @@ Index poisson(Xoshiro256& rng, double d) {
 }
 
 }  // namespace
+
+void check_er_degree(double d) {
+  // NaN fails the comparison; +inf and anything past ~708 underflow exp.
+  PGB_REQUIRE(d >= 0.0 && std::isnormal(std::exp(-d)),
+              "ER degree must be finite, non-negative and at most about "
+              "708; got " + std::to_string(d));
+}
 
 std::vector<Index> er_row_columns(Index n, double d, std::uint64_t seed,
                                   Index row) {

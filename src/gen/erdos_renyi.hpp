@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "runtime/host_pool.hpp"
 #include "runtime/locale_grid.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/dist_csr.hpp"
@@ -22,9 +23,15 @@ namespace pgb {
 std::vector<Index> er_row_columns(Index n, double d, std::uint64_t seed,
                                   Index row);
 
+/// Throws InvalidArgument unless the row sampler can honour mean degree
+/// `d`: finite, non-negative, and small enough (about 708) that its
+/// exp(-d) threshold is still a normal double.
+void check_er_degree(double d);
+
 /// Local CSR with all values T(1) (graph adjacency semantics).
 template <typename T>
 Csr<T> erdos_renyi_csr(Index n, double d, std::uint64_t seed) {
+  check_er_degree(d);
   std::vector<Index> rowptr(static_cast<std::size_t>(n) + 1, 0);
   std::vector<Index> colids;
   colids.reserve(static_cast<std::size_t>(d * static_cast<double>(n) * 1.1) +
@@ -41,12 +48,15 @@ Csr<T> erdos_renyi_csr(Index n, double d, std::uint64_t seed) {
 }
 
 /// 2-D block-distributed ER matrix; block (R, C) regenerates its rows from
-/// the same per-row streams and keeps only its column range.
+/// the same per-row streams and keeps only its column range. Blocks are
+/// independent, so they are built on the host thread pool; generation
+/// charges no simulated time.
 template <typename T>
 DistCsr<T> erdos_renyi_dist(LocaleGrid& grid, Index n, double d,
                             std::uint64_t seed) {
+  check_er_degree(d);
   DistCsr<T> m(grid, n, n);
-  for (int l = 0; l < grid.num_locales(); ++l) {
+  HostPool::instance().run(grid.num_locales(), [&](int l) {
     auto& b = m.block(l);
     std::vector<Index> rowptr(static_cast<std::size_t>(b.rhi - b.rlo) + 1, 0);
     std::vector<Index> colids;
@@ -61,7 +71,7 @@ DistCsr<T> erdos_renyi_dist(LocaleGrid& grid, Index n, double d,
     std::vector<T> vals(colids.size(), T(1));
     b.csr = Csr<T>::from_parts(b.rhi - b.rlo, n, std::move(rowptr),
                                std::move(colids), std::move(vals));
-  }
+  });
   return m;
 }
 

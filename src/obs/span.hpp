@@ -76,16 +76,23 @@ class GridSpan {
   std::int64_t bytes0_ = 0;
 };
 
+/// One locale's span. Inside a coforall_compute body it records into the
+/// body's log (LocaleCtx::trace_log), which the dispatch replays onto the
+/// locale's track at the join.
 class LocaleSpan {
  public:
   LocaleSpan(LocaleCtx& ctx, const char* name, TraceArgs args = {})
-      : grid_(ctx.grid()), locale_(ctx.locale()) {
+      : grid_(ctx.grid()), locale_(ctx.locale()), log_(ctx.trace_log()) {
     auto* session = grid_.trace_session();
     if (session == nullptr) return;
     active_ = true;
     epoch_ = grid_.epoch();
-    session->begin_span(locale_, name, grid_.clock(locale_).now(),
-                        std::move(args));
+    const double now = grid_.clock(locale_).now();
+    if (log_ != nullptr) {
+      log_->begin_span(name, now, session->wall_now_us(), std::move(args));
+    } else {
+      session->begin_span(locale_, name, now, std::move(args));
+    }
   }
 
   LocaleSpan(const LocaleSpan&) = delete;
@@ -98,22 +105,34 @@ class LocaleSpan {
     active_ = false;
     auto* session = grid_.trace_session();
     if (session == nullptr || grid_.epoch() != epoch_) return;
-    session->end_span(locale_, grid_.clock(locale_).now());
+    const double now = grid_.clock(locale_).now();
+    if (log_ != nullptr) {
+      log_->end_span(now, session->wall_now_us());
+    } else {
+      session->end_span(locale_, now);
+    }
   }
 
  private:
   LocaleGrid& grid_;
   int locale_;
+  TrackLog* log_;
   bool active_ = false;
   std::uint64_t epoch_ = 0;
 };
 
-/// Instant event on one locale's track (no-op without a session).
+/// Instant event on one locale's track (no-op without a session);
+/// buffered like LocaleSpan inside a coforall_compute body.
 inline void trace_instant(LocaleCtx& ctx, const char* name,
                           TraceArgs args = {}) {
   auto* session = ctx.grid().trace_session();
   if (session == nullptr) return;
-  session->instant(ctx.locale(), name, ctx.clock().now(), std::move(args));
+  const double now = ctx.clock().now();
+  if (TrackLog* log = ctx.trace_log()) {
+    log->instant(name, now, session->wall_now_us(), std::move(args));
+  } else {
+    session->instant(ctx.locale(), name, now, std::move(args));
+  }
 }
 
 #define PGB_OBS_CONCAT2(a, b) a##b

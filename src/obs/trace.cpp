@@ -18,13 +18,47 @@ void TraceSession::ensure_track(int track) {
 
 void TraceSession::begin_span(int track, std::string name, double sim_now,
                               TraceArgs args) {
-  ensure_track(track);
-  open_[static_cast<std::size_t>(track)].push_back(
-      OpenSpan{std::move(name), sim_now, wall_now_us(), std::move(args)});
+  begin_span_at(track, std::move(name), sim_now, wall_now_us(),
+                std::move(args));
 }
 
 void TraceSession::end_span(int track, double sim_now,
                             const TraceArgs& extra) {
+  end_span_at(track, sim_now, wall_now_us(), extra);
+}
+
+void TraceSession::instant(int track, std::string name, double sim_now,
+                           TraceArgs args) {
+  instant_at(track, std::move(name), sim_now, wall_now_us(), std::move(args));
+}
+
+void TraceSession::replay(int track, TrackLog log) {
+  for (auto& e : log.events_) {
+    switch (e.kind) {
+      case TrackLog::Kind::kBegin:
+        begin_span_at(track, std::move(e.name), e.sim, e.wall_us,
+                      std::move(e.args));
+        break;
+      case TrackLog::Kind::kEnd:
+        end_span_at(track, e.sim, e.wall_us, {});
+        break;
+      case TrackLog::Kind::kInstant:
+        instant_at(track, std::move(e.name), e.sim, e.wall_us,
+                   std::move(e.args));
+        break;
+    }
+  }
+}
+
+void TraceSession::begin_span_at(int track, std::string name, double sim_now,
+                                 double wall_us, TraceArgs args) {
+  ensure_track(track);
+  open_[static_cast<std::size_t>(track)].push_back(
+      OpenSpan{std::move(name), sim_now, wall_us, std::move(args)});
+}
+
+void TraceSession::end_span_at(int track, double sim_now, double wall_us,
+                               const TraceArgs& extra) {
   ensure_track(track);
   auto& stack = open_[static_cast<std::size_t>(track)];
   if (stack.empty()) return;  // cleared mid-span by a grid reset
@@ -37,17 +71,17 @@ void TraceSession::end_span(int track, double sim_now,
   e.sim_begin = o.sim_begin;
   e.sim_end = std::max(sim_now, o.sim_begin);  // clocks are monotonic
   e.wall_begin_us = o.wall_begin;
-  e.wall_end_us = wall_now_us();
+  e.wall_end_us = wall_us;
   e.args = std::move(o.args);
   e.args.insert(e.args.end(), extra.begin(), extra.end());
   spans_.push_back(std::move(e));
 }
 
-void TraceSession::instant(int track, std::string name, double sim_now,
-                           TraceArgs args) {
+void TraceSession::instant_at(int track, std::string name, double sim_now,
+                              double wall_us, TraceArgs args) {
   ensure_track(track);
-  instants_.push_back(InstantEvent{std::move(name), track, sim_now,
-                                   wall_now_us(), std::move(args)});
+  instants_.push_back(
+      InstantEvent{std::move(name), track, sim_now, wall_us, std::move(args)});
 }
 
 void TraceSession::counter(std::string name, double sim_now, double value) {

@@ -67,6 +67,40 @@ struct CounterSample {
   double value = 0.0;
 };
 
+/// One track's spans and instants recorded away from the session, by code
+/// that may not write to it directly (a LocaleGrid::coforall_compute body
+/// on a pool thread), for TraceSession::replay to append later in the
+/// order they were recorded. The recorder supplies both clocks: the
+/// simulated time and the session's wall_now_us().
+class TrackLog {
+ public:
+  void begin_span(std::string name, double sim_now, double wall_us,
+                  TraceArgs args = {}) {
+    events_.push_back(
+        {Kind::kBegin, std::move(name), sim_now, wall_us, std::move(args)});
+  }
+  void end_span(double sim_now, double wall_us) {
+    events_.push_back({Kind::kEnd, {}, sim_now, wall_us, {}});
+  }
+  void instant(std::string name, double sim_now, double wall_us,
+               TraceArgs args = {}) {
+    events_.push_back(
+        {Kind::kInstant, std::move(name), sim_now, wall_us, std::move(args)});
+  }
+
+ private:
+  friend class TraceSession;
+  enum class Kind { kBegin, kEnd, kInstant };
+  struct Event {
+    Kind kind;
+    std::string name;
+    double sim;
+    double wall_us;
+    TraceArgs args;
+  };
+  std::vector<Event> events_;
+};
+
 class TraceSession {
  public:
   /// `detail` additionally records per-call comm instants (one event per
@@ -91,6 +125,10 @@ class TraceSession {
 
   void instant(int track, std::string name, double sim_now,
                TraceArgs args = {});
+
+  /// Appends `log`'s events to `track` in recorded order, exactly as if
+  /// each had been recorded there directly, with the log's times.
+  void replay(int track, TrackLog log);
 
   /// Records one counter-track sample (see CounterSample). Callers
   /// sample at span/phase boundaries — LocaleGrid::sample_counter_tracks
@@ -173,6 +211,12 @@ class TraceSession {
   };
 
   void ensure_track(int track);
+  void begin_span_at(int track, std::string name, double sim_now,
+                     double wall_us, TraceArgs args);
+  void end_span_at(int track, double sim_now, double wall_us,
+                   const TraceArgs& extra);
+  void instant_at(int track, std::string name, double sim_now,
+                  double wall_us, TraceArgs args);
 
   bool detail_;
   std::chrono::steady_clock::time_point t0_;

@@ -30,6 +30,7 @@ CommMode parse_comm_mode(const std::string& s) {
 
 AggChannel::AggChannel(LocaleCtx& ctx, AggConfig cfg)
     : ctx_(ctx), cfg_(cfg) {
+  ctx.require_comm();
   PGB_REQUIRE(cfg_.capacity >= 1, "aggregator capacity must be positive");
   PGB_REQUIRE(cfg_.contention >= 1.0, "contention multiplier must be >= 1");
   auto& grid = ctx.grid();

@@ -175,8 +175,9 @@ struct SiteReport {
 /// `LocaleGrid::inspector()` re-binds the registry/model/membership
 /// pointers on every access so a moved grid never leaves them dangling.
 ///
-/// Thread-safety: none needed — `coforall_locales` runs per-locale
-/// bodies serially (the simulator parallelism is modeled, not real).
+/// Thread-safety: none needed — only comm sites consult it, and they run
+/// on the serial `coforall_locales` loop (a `coforall_compute` body may
+/// not communicate).
 class Inspector {
  public:
   Inspector() = default;

@@ -4,10 +4,12 @@
 #include <cmath>
 #include <cstdio>
 
+#include "runtime/host_pool.hpp"
+
 namespace pgb {
 
-LocaleCtx::LocaleCtx(LocaleGrid& grid, int locale)
-    : grid_(grid), locale_(locale) {
+LocaleCtx::LocaleCtx(LocaleGrid& grid, int locale, BodyLog* log)
+    : grid_(grid), locale_(locale), log_(log) {
   PGB_REQUIRE(locale >= 0 && locale < grid.num_locales(),
               "locale id out of range");
 }
@@ -25,7 +27,11 @@ int LocaleCtx::host() const {
 
 void LocaleCtx::parallel_region(CostVector cost) {
   cost.add(CostKind::kTaskSpawn, grid_.threads());
-  grid_.hot().parallel_regions->inc();
+  if (log_ != nullptr) {
+    ++log_->parallel_regions;
+  } else {
+    grid_.hot().parallel_regions->inc();
+  }
   clock().advance(charge_scale_ *
                   region_time(grid_.model().node, cost, grid_.threads(),
                               grid_.colocated()));
@@ -103,6 +109,7 @@ void LocaleCtx::transfer(CommPath path, int peer, std::int64_t msgs,
 void LocaleCtx::remote_chain(int peer, std::int64_t count,
                              double rts_per_elem, std::int64_t bytes_each,
                              double contention) {
+  require_comm();
   // Locality is decided by *hosts*: after a degraded-mode remap, two
   // logical locales sharing a survivor exchange data through its memory,
   // not the wire. Identity membership makes this the plain self check.
@@ -123,6 +130,7 @@ void LocaleCtx::remote_chain(int peer, std::int64_t count,
 
 void LocaleCtx::remote_msgs(int peer, std::int64_t count,
                             std::int64_t bytes_each, double contention) {
+  require_comm();
   const int self_h = host();
   const int peer_h = grid_.host_of(peer);
   if (peer_h == self_h) return;
@@ -134,6 +142,7 @@ void LocaleCtx::remote_msgs(int peer, std::int64_t count,
 }
 
 void LocaleCtx::remote_bulk(int peer, std::int64_t bytes) {
+  require_comm();
   const int self_h = host();
   const int peer_h = grid_.host_of(peer);
   if (peer_h == self_h) return;
@@ -143,6 +152,7 @@ void LocaleCtx::remote_bulk(int peer, std::int64_t bytes) {
 }
 
 void LocaleCtx::remote_rt(int peer, std::int64_t bytes_back) {
+  require_comm();
   const int self_h = host();
   const int peer_h = grid_.host_of(peer);
   if (peer_h == self_h) return;
@@ -452,6 +462,31 @@ void LocaleGrid::sample_counter_tracks() {
   }
 }
 
+bool LocaleGrid::spawn(Spawn& s, int l) {
+  const int h = membership_.host(l);
+  if (h != s.host0) {
+    s.accum += net_.fork(same_node(s.host0, h), colocated());
+    clocks_[h].advance_to(s.t0 + s.accum);
+  }
+  return fault_plan_ == nullptr || !fault_plan_->is_down(h, clocks_[h].now());
+}
+
+void LocaleGrid::fail_spawn(int l) {
+  // Permanent-failure detection: a killed host never answers the spawn.
+  // This is the one place LocaleFailed is thrown, so no destructor
+  // (aggregator flushes included) can ever throw during unwinding; the
+  // resilient driver (fault/recovery.hpp) catches it and either rolls
+  // back to a checkpoint or rebuilds the lost blocks from their
+  // replicas. The exception carries the *logical* locale whose dispatch
+  // failed; the driver translates to the host.
+  const int h = membership_.host(l);
+  metrics_.counter("fault.injected", {{"kind", "kill"}}).inc();
+  if (trace_session_ != nullptr) {
+    trace_session_->instant(h, "fault.locale_failed", clocks_[h].now());
+  }
+  throw LocaleFailed(l, clocks_[h].now());
+}
+
 void LocaleGrid::coforall_locales(const std::function<void(LocaleCtx&)>& body) {
   hot_.coforalls->inc();
   // The loop runs over *logical* locales; each body executes on the
@@ -460,32 +495,53 @@ void LocaleGrid::coforall_locales(const std::function<void(LocaleCtx&)>& body) {
   // back, so it naturally pays double work and shows up at the barrier
   // as the slow one. Identity membership reduces every line to the
   // pre-membership behavior bit for bit.
-  const int host0 = membership_.host(0);
-  const double t0 = clocks_[host0].now();
-  double spawn_accum = 0.0;
+  Spawn s = begin_spawn();
   for (int l = 0; l < num_locales(); ++l) {
-    const int h = membership_.host(l);
-    if (h != host0) {
-      spawn_accum += net_.fork(same_node(host0, h), colocated());
-      clocks_[h].advance_to(t0 + spawn_accum);
-    }
-    // Permanent-failure detection: a killed host never answers the
-    // spawn. This is the one place LocaleFailed is thrown, so no
-    // destructor (aggregator flushes included) can ever throw during
-    // unwinding; the resilient driver (fault/recovery.hpp) catches it
-    // and either rolls back to a checkpoint or rebuilds the lost blocks
-    // from their replicas. The exception carries the *logical* locale
-    // whose dispatch failed; the driver translates to the host.
-    if (fault_plan_ != nullptr && fault_plan_->is_down(h, clocks_[h].now())) {
-      metrics_.counter("fault.injected", {{"kind", "kill"}}).inc();
-      if (trace_session_ != nullptr) {
-        trace_session_->instant(h, "fault.locale_failed", clocks_[h].now());
-      }
-      throw LocaleFailed(l, clocks_[h].now());
-    }
+    if (!spawn(s, l)) fail_spawn(l);
     LocaleCtx ctx(*this, l);
     body(ctx);
   }
+  barrier_all();
+}
+
+void LocaleGrid::coforall_compute(const std::function<void(LocaleCtx&)>& body) {
+  if (membership_.active() < num_locales()) {
+    coforall_locales(body);
+    return;
+  }
+  hot_.coforalls->inc();
+  // Every host carries one logical locale, so body l touches only clock
+  // l: all forks can be charged before any body runs, up to the first
+  // dead host, and the bodies below it then run in any order.
+  Spawn s = begin_spawn();
+  int dispatched = num_locales();
+  for (int l = 0; l < num_locales(); ++l) {
+    if (!spawn(s, l)) {
+      dispatched = l;
+      break;
+    }
+  }
+  std::vector<BodyLog> logs(static_cast<std::size_t>(dispatched));
+  auto merge = [&] {
+    for (int l = 0; l < dispatched; ++l) {
+      auto& log = logs[static_cast<std::size_t>(l)];
+      hot_.parallel_regions->inc(log.parallel_regions);
+      if (trace_session_ != nullptr) {
+        trace_session_->replay(l, std::move(log.trace));
+      }
+    }
+  };
+  try {
+    HostPool::instance().run(dispatched, [&](int l) {
+      LocaleCtx ctx(*this, l, &logs[static_cast<std::size_t>(l)]);
+      body(ctx);
+    });
+  } catch (...) {
+    merge();
+    throw;
+  }
+  merge();
+  if (dispatched < num_locales()) fail_spawn(dispatched);
   barrier_all();
 }
 

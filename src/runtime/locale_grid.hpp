@@ -78,10 +78,19 @@ inline const char* comm_path_name(CommPath p) {
 
 class LocaleGrid;
 
+/// What a LocaleGrid::coforall_compute body records instead of writing
+/// grid-wide state from a pool thread: its parallel-region count and its
+/// trace events. The dispatch merges the logs in locale order at the join.
+struct BodyLog {
+  std::int64_t parallel_regions = 0;
+  obs::TrackLog trace;
+};
+
 /// Handle passed to per-locale bodies; provides cost-charging helpers.
 class LocaleCtx {
  public:
-  LocaleCtx(LocaleGrid& grid, int locale);
+  /// `log` is non-null only for a coforall_compute body.
+  LocaleCtx(LocaleGrid& grid, int locale, BodyLog* log = nullptr);
 
   int locale() const { return locale_; }
   LocaleGrid& grid() { return grid_; }
@@ -116,6 +125,19 @@ class LocaleCtx {
 
   /// Charges single-task work (no spawn).
   void serial_region(const CostVector& cost);
+
+  /// The trace buffer of a coforall_compute body, where LocaleSpan
+  /// records; nullptr everywhere else (spans go to the session).
+  obs::TrackLog* trace_log() {
+    return log_ != nullptr ? &log_->trace : nullptr;
+  }
+
+  /// Aborts inside a coforall_compute body, whose contract forbids comm:
+  /// every remote_* helper and every aggregation channel checks it.
+  void require_comm() const {
+    PGB_ASSERT(log_ == nullptr,
+               "comm helper or aggregator used in a coforall_compute body");
+  }
 
   // -- communication charges (data itself is read/written directly by the
   //    caller; these advance this locale's clock per the network model) --
@@ -157,6 +179,7 @@ class LocaleCtx {
 
   LocaleGrid& grid_;
   int locale_;
+  BodyLog* log_;
   double charge_scale_ = 1.0;
   /// host() cache; ~0 epoch forces the first lookup.
   mutable std::uint64_t host_epoch_ = ~std::uint64_t{0};
@@ -408,6 +431,25 @@ class LocaleGrid {
   /// then all join at a barrier. The body runs once per locale.
   void coforall_locales(const std::function<void(LocaleCtx&)>& body);
 
+  /// coforall_locales for bodies that only compute on their own locale,
+  /// run on the host thread pool (runtime/host_pool.hpp). Same forks,
+  /// kill check and barrier; clocks, registry and trace end up exactly
+  /// as the serial loop leaves them. A body:
+  ///   - charges only its own clock (ctx.parallel_region/serial_region);
+  ///   - calls no comm helper or aggregator (ctx.require_comm aborts);
+  ///   - uses the registry only through those ctx charges;
+  ///   - traces only through obs::LocaleSpan and obs::trace_instant,
+  ///     which record into its log.
+  /// Each body's region counts and spans are buffered per locale and
+  /// merged in locale order at the join. A dead locale k stops the
+  /// dispatch as in the serial loop: bodies 0..k-1 run and are merged,
+  /// then the kill is recorded and LocaleFailed(k) thrown. If bodies
+  /// throw, every dispatched body still runs and is merged, and the
+  /// lowest locale's exception propagates without a barrier. A degraded
+  /// remap (two logical locales on one host, sharing its clock) falls
+  /// back to coforall_locales.
+  void coforall_compute(const std::function<void(LocaleCtx&)>& body);
+
   /// Advance every clock to the common max plus barrier cost; returns the
   /// synchronized time.
   double barrier_all();
@@ -475,6 +517,22 @@ class LocaleGrid {
   LocaleGrid& operator=(LocaleGrid&&) = default;
 
  private:
+  /// One coforall's serialized spawns from the initiator: the initiator's
+  /// host, its clock at dispatch and the fork time charged so far.
+  struct Spawn {
+    int host0;
+    double t0;
+    double accum;
+  };
+  Spawn begin_spawn() const {
+    const int h0 = membership_.host(0);
+    return Spawn{h0, clocks_[h0].now(), 0.0};
+  }
+  /// Charges the fork to logical locale `l`; false when its host is dead.
+  bool spawn(Spawn& s, int l);
+  /// Records the dead host spawn() found for `l` and throws LocaleFailed.
+  [[noreturn]] void fail_spawn(int l);
+
   void comm_matrix_add_slow(CommPath path, int src, int dst,
                             std::int64_t msgs, std::int64_t bytes);
   void register_agg_metrics();

@@ -2,6 +2,7 @@
 // local/distributed structural equality.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "gen/erdos_renyi.hpp"
@@ -99,6 +100,22 @@ TEST(ErdosRenyi, DistStructureEqualsLocalAcrossGrids) {
       for (std::size_t k = 0; k < a.size(); ++k) EXPECT_EQ(a[k], b[k]);
     }
   }
+}
+
+TEST(ErdosRenyi, RejectsDegreesTheSamplerCannotHonour) {
+  auto grid = LocaleGrid::square(4, 1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // exp(-d) leaves the normal range just past d = 708.
+  for (double d : {nan, inf, -inf, -3.0, -1e-300, 708.5, 1e9}) {
+    EXPECT_THROW(erdos_renyi_csr<int>(200, d, 1), InvalidArgument) << d;
+    EXPECT_THROW(erdos_renyi_dist<int>(grid, 200, d, 1), InvalidArgument)
+        << d;
+  }
+  EXPECT_EQ(erdos_renyi_csr<int>(200, 0.0, 1).nnz(), 0);
+  EXPECT_EQ(erdos_renyi_dist<int>(grid, 200, 0.0, 1).nnz(), 0);
+  // The largest accepted degree still fills every row of a small graph.
+  EXPECT_EQ(erdos_renyi_csr<int>(50, 708.0, 1).nnz(), 50 * 50);
 }
 
 TEST(Rmat, ProducesExpectedShape) {

@@ -1,9 +1,23 @@
 // Tests for the locale-grid runtime: grid construction, block
-// distributions, clock semantics of coforall/barrier, and the
-// communication-charging helpers.
+// distributions, clock semantics of coforall/barrier, the
+// communication-charging helpers, and the host-parallel compute dispatch
+// against the serial loop.
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <atomic>
+#include <bit>
+#include <cstdio>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "fault/fault.hpp"
+#include "obs/span.hpp"
+#include "runtime/aggregator.hpp"
 #include "runtime/dist.hpp"
+#include "runtime/host_pool.hpp"
 #include "runtime/locale_grid.hpp"
 
 namespace pgb {
@@ -205,6 +219,266 @@ TEST(Dist2D, EveryCellOwnedByExactlyOneLocale) {
       EXPECT_LT(c, d.cold().hi(d.pcol_of(l)));
     }
   }
+}
+
+// ---- host pool ----
+
+TEST(HostPool, RunsEveryItemOnce) {
+  for (int threads : {1, 3}) {
+    HostPool pool(threads);
+    EXPECT_EQ(pool.threads(), threads);
+    std::vector<int> hits(1000, 0);
+    pool.run(1000, [&](int i) { ++hits[static_cast<std::size_t>(i)]; });
+    EXPECT_EQ(hits, std::vector<int>(1000, 1));
+  }
+}
+
+TEST(HostPool, SizedFromTheAffinityMask) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof set, &set), 0);
+  EXPECT_EQ(HostPool::instance().threads(), CPU_COUNT(&set));
+}
+
+TEST(HostPool, LowestThrowingItemWinsAndEveryItemRuns) {
+  HostPool pool(3);
+  std::atomic<int> ran{0};
+  try {
+    pool.run(64, [&](int i) {
+      ++ran;
+      if (i == 41 || i == 17 || i == 60) {
+        throw std::runtime_error(std::to_string(i));
+      }
+    });
+    FAIL() << "expected the item's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "17");
+  }
+  EXPECT_EQ(ran.load(), 64);
+  ran = 0;
+  pool.run(64, [&](int) { ++ran; });
+  EXPECT_EQ(ran.load(), 64);
+}
+
+// ---- coforall_compute against the serial loop ----
+//
+// Twin grids run the same comm-free bodies, one through coforall_locales
+// and one through coforall_compute; the clock bits, the registry and the
+// trace (spans, instants and counter samples in recorded order, wall
+// fields left out) must come out equal.
+
+/// A body with SPA-sized charges that differ per locale, nested spans,
+/// parallel regions and instants. Records per locale whether it ran and
+/// whether it recorded into a body log (the buffered, pooled path).
+struct ComputeBody {
+  std::vector<int> runs;
+  std::vector<int> buffered;
+
+  explicit ComputeBody(int n) : runs(n, 0), buffered(n, 0) {}
+
+  void operator()(LocaleCtx& ctx) {
+    const int l = ctx.locale();
+    ++runs[static_cast<std::size_t>(l)];
+    buffered[static_cast<std::size_t>(l)] = ctx.trace_log() != nullptr;
+    obs::LocaleSpan outer(ctx, "test.local", {{"l", std::to_string(l)}});
+    for (int r = 0; r <= l % 3; ++r) {
+      obs::LocaleSpan inner(ctx, "test.spa");
+      CostVector c;
+      c.add(CostKind::kStreamBytes, 9.0 * 12500 + 16.0 * 1000 * (l + 1));
+      c.add(CostKind::kRandAccess, 200.0 * (r + 1));
+      c.add(CostKind::kAtomicDistinct, 1000.0 * (l + 1));
+      ctx.parallel_region(c);
+      obs::trace_instant(ctx, "test.tick", {{"r", std::to_string(r)}});
+    }
+    CostVector s;
+    s.add(CostKind::kCpuOps, 100.0 * l);
+    ctx.serial_region(s);
+  }
+};
+
+enum class Prep { kNoSession, kSession, kFaultPlan, kKill, kRemap };
+
+std::string prep_name(const ::testing::TestParamInfo<Prep>& info) {
+  static const char* const kNames[] = {"NoSession", "Session", "FaultPlan",
+                                       "Kill", "Remap"};
+  return kNames[static_cast<int>(info.param)];
+}
+
+std::string bits(double v) {
+  char buf[24];
+  std::snprintf(
+      buf, sizeof buf, "%016llx",
+      static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
+  return buf;
+}
+
+/// Everything the serial loop's result is judged by: clock bits, the
+/// registry snapshot, and the trace without its wall fields.
+std::string observable_state(LocaleGrid& g, const obs::TraceSession& s) {
+  std::string out = "clocks:";
+  for (int l = 0; l < g.num_locales(); ++l) {
+    out += " " + bits(g.clock(l).now());
+  }
+  out += "\nmetrics: " + g.metrics().json() + "\n";
+  auto args = [](const obs::TraceArgs& a) {
+    std::string r;
+    for (const auto& kv : a) r += " " + kv.key + "=" + kv.value;
+    return r;
+  };
+  for (const auto& e : s.spans()) {
+    out += "span " + e.name + " t" + std::to_string(e.track) + " d" +
+           std::to_string(e.depth) + " " + bits(e.sim_begin) + "-" +
+           bits(e.sim_end) + args(e.args) + "\n";
+  }
+  for (const auto& e : s.instants()) {
+    out += "instant " + e.name + " t" + std::to_string(e.track) + " " +
+           bits(e.sim_ts) + args(e.args) + "\n";
+  }
+  for (const auto& c : s.counter_samples()) {
+    out += "counter " + c.name + " " + bits(c.sim_ts) + " " + bits(c.value) +
+           "\n";
+  }
+  return out;
+}
+
+/// One twin: a 16-locale grid prepared for `prep`, then two dispatches
+/// of ComputeBody through coforall_compute (`compute`) or the serial loop.
+struct Twin {
+  static constexpr int kLocales = 16;
+  static constexpr int kVictim = 9;
+
+  LocaleGrid grid = LocaleGrid::square(kLocales, 24);
+  obs::TraceSession session;
+  FaultPlan plan{FaultSpec::parse(
+                     "drop:p=0.5;kill:locale=" + std::to_string(kVictim) +
+                     ",at=0"),
+                 7};
+  FaultPlan drops{FaultSpec::parse("drop:p=0.5"), 7};
+  ComputeBody body{kLocales};
+  int failed = -1;  ///< LocaleFailed's locale, -1 when none was thrown
+
+  Twin(Prep prep, bool compute) {
+    if (prep != Prep::kNoSession) grid.set_trace_session(&session);
+    // Uneven clocks first, so forks, barrier and kill times see skew.
+    grid.coforall_locales([](LocaleCtx& ctx) {
+      CostVector c;
+      c.add(CostKind::kCpuOps, 5000.0 * (ctx.locale() % 5));
+      ctx.serial_region(c);
+    });
+    if (prep == Prep::kRemap) grid.remap_locale(3, 11);
+    if (prep == Prep::kFaultPlan) grid.set_fault_plan(&drops);
+    if (prep == Prep::kKill) grid.set_fault_plan(&plan);
+    const auto dispatch = compute ? &LocaleGrid::coforall_compute
+                                  : &LocaleGrid::coforall_locales;
+    try {
+      for (int rep = 0; rep < 2; ++rep) {
+        (grid.*dispatch)([this](LocaleCtx& ctx) { body(ctx); });
+      }
+    } catch (const LocaleFailed& e) {
+      failed = e.locale();
+    }
+    grid.set_fault_plan(nullptr);
+  }
+};
+
+class CoforallCompute : public ::testing::TestWithParam<Prep> {};
+
+TEST_P(CoforallCompute, LeavesTheSerialLoopsState) {
+  const Prep prep = GetParam();
+  Twin serial(prep, /*compute=*/false);
+  Twin pooled(prep, /*compute=*/true);
+  EXPECT_EQ(observable_state(pooled.grid, pooled.session),
+            observable_state(serial.grid, serial.session));
+  EXPECT_EQ(pooled.body.runs, serial.body.runs);
+  EXPECT_EQ(pooled.failed, serial.failed);
+  // The bodies draw nothing from the plan's RNG.
+  EXPECT_EQ(pooled.drops.decisions(), 0);
+  EXPECT_EQ(pooled.plan.decisions(), 0);
+
+  const int n = Twin::kLocales;
+  if (prep == Prep::kKill) {
+    // The bodies below the dead locale ran; the rest were never spawned.
+    EXPECT_EQ(pooled.failed, Twin::kVictim);
+    for (int l = 0; l < n; ++l) {
+      EXPECT_EQ(pooled.body.runs[l], l < Twin::kVictim ? 1 : 0) << l;
+    }
+    const auto& instants = pooled.session.instants();
+    ASSERT_FALSE(instants.empty());
+    EXPECT_EQ(instants.back().name, "fault.locale_failed");
+  } else {
+    EXPECT_EQ(pooled.failed, -1);
+    EXPECT_EQ(pooled.body.runs, std::vector<int>(n, 2));
+  }
+  // Traced runs and fault plans keep the pooled path; only a degraded
+  // remap (two logical locales sharing a host clock) takes the serial one.
+  const int expect_buffered = prep == Prep::kRemap ? 0 : 1;
+  for (int l = 0; l < n; ++l) {
+    if (pooled.body.runs[l] == 0) continue;
+    EXPECT_EQ(pooled.body.buffered[l], expect_buffered) << l;
+    EXPECT_EQ(serial.body.buffered[l], 0) << l;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Preps, CoforallCompute,
+                         ::testing::Values(Prep::kNoSession, Prep::kSession,
+                                           Prep::kFaultPlan, Prep::kKill,
+                                           Prep::kRemap),
+                         prep_name);
+
+TEST(CoforallComputeErrors, LowestLocaleExceptionWinsAndPoolServesNext) {
+  auto g = LocaleGrid::square(16, 4);
+  obs::TraceSession session;
+  g.set_trace_session(&session);
+  try {
+    g.coforall_compute([](LocaleCtx& ctx) {
+      obs::LocaleSpan span(ctx, "test.throwing");
+      const int l = ctx.locale();
+      if (l == 12 || l == 5 || l == 7) {
+        throw std::runtime_error(std::to_string(l));
+      }
+    });
+    FAIL() << "expected a body's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "5");
+  }
+  // Every body ran and was merged: one closed span per locale.
+  EXPECT_EQ(session.spans().size(), 16u);
+  std::atomic<int> ran{0};
+  g.coforall_compute([&](LocaleCtx&) { ++ran; });
+  EXPECT_EQ(ran.load(), 16);
+}
+
+TEST(CoforallComputeNesting, DispatchFromInsideABodyRunsInline) {
+  auto outer = LocaleGrid::square(8, 4);
+  std::vector<int> inline_everywhere(8, 0);
+  outer.coforall_compute([&](LocaleCtx& ctx) {
+    const auto self = std::this_thread::get_id();
+    // A private grid simulated inside one locale's body.
+    auto inner = LocaleGrid::square(4, 1);
+    std::vector<std::thread::id> where(4);
+    inner.coforall_compute([&](LocaleCtx& ictx) {
+      where[static_cast<std::size_t>(ictx.locale())] =
+          std::this_thread::get_id();
+      ictx.serial_region(CostVector{});
+    });
+    bool same = true;
+    for (const auto& id : where) same = same && id == self;
+    inline_everywhere[static_cast<std::size_t>(ctx.locale())] = same;
+  });
+  EXPECT_EQ(inline_everywhere, std::vector<int>(8, 1));
+}
+
+TEST(CoforallComputeDeathTest, CommInsideABodyAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto g = LocaleGrid::square(4, 1);
+  EXPECT_DEATH(g.coforall_compute([](LocaleCtx& ctx) {
+    ctx.remote_bulk((ctx.locale() + 1) % 4, 64);
+  }),
+               "coforall_compute body");
+  EXPECT_DEATH(g.coforall_compute([](LocaleCtx& ctx) {
+    DstAggregator<int> agg(ctx, [](int, std::vector<int>&) {});
+  }),
+               "coforall_compute body");
 }
 
 }  // namespace
