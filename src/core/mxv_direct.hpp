@@ -109,7 +109,7 @@ DistSparseVec<T> mxv_direct(const DistCsr<TA>& a,
       });
   obs::GridSpan gather_span(grid, "mxv.gather");
   std::vector<SparseVec<T>> xc(static_cast<std::size_t>(nloc));
-  grid.coforall_locales([&](LocaleCtx& ctx) {
+  gather_site.coforall([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
     const auto& blk = a.block(l);
     std::vector<Index> idx;
@@ -142,7 +142,7 @@ DistSparseVec<T> mxv_direct(const DistCsr<TA>& a,
   obs::GridSpan local_span(grid, "mxv.local");
   const double t0 = grid.time();
   std::vector<SparseVec<T>> ly(static_cast<std::size_t>(nloc));
-  grid.coforall_locales([&](LocaleCtx& ctx) {
+  grid.coforall_compute([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
     const auto& blk = a.block(l);
     ly[static_cast<std::size_t>(l)] = spmspv_columnwise(
@@ -169,32 +169,29 @@ DistSparseVec<T> mxv_direct(const DistCsr<TA>& a,
       });
   obs::GridSpan scatter_span(grid, "mxv.scatter");
   DistSparseVec<T> y(grid, a.nrows());
-  std::vector<Spa<T>> yspa;
-  yspa.reserve(static_cast<std::size_t>(nloc));
-  for (int o = 0; o < nloc; ++o) {
-    yspa.emplace_back(y.dist().lo(o), y.dist().hi(o));
-  }
-  struct Update {
+  struct Update {  // the wire element
     Index r;
     T v;
   };
-  grid.coforall_locales([&](LocaleCtx& ctx) {
-    const auto& part = ly[static_cast<std::size_t>(ctx.locale())];
-    auto out = scatter_site.scatter<Update>(
-        ctx, [&](int o, const Update& u) {
-          yspa[static_cast<std::size_t>(o)].accumulate(u.r, u.v, sr.add);
-        });
-    for (Index p = 0; p < part.nnz(); ++p) {
-      const Index r = part.index_at(p);
-      out.push(y.dist().owner(r), Update{r, part.value_at(p)});
-    }
+  scatter_site.coforall([&](LocaleCtx& ctx) {
+    auto out = scatter_site.scatter<Update>(ctx);
+    out.push_sorted(
+        0, ly[static_cast<std::size_t>(ctx.locale())].domain().indices(),
+        y.dist());
     out.finish();
   });
-  grid.coforall_locales([&](LocaleCtx& ctx) {
+  scatter_site.group_runs();
+  grid.coforall_compute([&](LocaleCtx& ctx) {
     const int o = ctx.locale();
-    y.local(o) = detail::finalize_owner(
-        ctx, yspa[static_cast<std::size_t>(o)], y.dist().local_size(o),
-        nullptr, MaskMode::kNone);
+    Spa<T> spa(y.dist().lo(o), y.dist().hi(o));
+    detail::accumulate_runs(
+        scatter_site, o, &spa,
+        [&](int, int l) -> const SparseVec<T>& {
+          return ly[static_cast<std::size_t>(l)];
+        },
+        sr);
+    y.local(o) = detail::finalize_owner(ctx, spa, y.dist().local_size(o),
+                                        nullptr, MaskMode::kNone);
   });
   scatter_span.end();
   grid.trace().add("scatter", scatter_site.end_wave());

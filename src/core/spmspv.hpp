@@ -18,12 +18,16 @@
 //               Listing 8 copies these *element by element* — the
 //               fine-grained traffic that ends up dominating (Figs 8-9).
 //               opts.bulk_gather switches to one bulk get per piece
-//               (the paper's suggested bulk-synchronous remedy).
+//               (the paper's suggested bulk-synchronous remedy). Each
+//               locale is charged its gather; the host builds a row's
+//               input once and the row's locales share it.
 //   2. Local:   spmspv_shm on the local block.
 //   3. Scatter: partial outputs are accumulated into the 1-D distributed
 //               result; the paper writes one element at a time into a
 //               global atomic "isthere" array. opts.bulk_scatter batches
-//               per destination instead.
+//               per destination instead. Each initiator is charged its
+//               elements; on the host every owner then adds the runs
+//               bound for it, in initiator order (runtime/comm_site.hpp).
 #pragma once
 
 #include <vector>
@@ -369,6 +373,23 @@ inline void count_phase_comm(LocaleGrid& grid, const char* phase,
       .inc(cs1.bytes - cs0.bytes);
 }
 
+/// Owner-side accumulate after an accumulate scatter: adds every run the
+/// initiators recorded for owner `o` into `spa[run.lane]`, in initiator
+/// order, reading lane q of initiator l's sorted output from part(q, l).
+/// Each slot sees the same sequence of adds as per-element delivery in
+/// the serial loop.
+template <typename T, typename SR, typename Part>
+void accumulate_runs(const CommSite& site, int o, Spa<T>* spa, Part&& part,
+                     const SR& sr) {
+  for (const AccumRun& r : site.runs_to(o)) {
+    const SparseVec<T>& v = part(r.lane, r.from);
+    Spa<T>& acc = spa[r.lane];
+    for (Index p = r.begin; p < r.end; ++p) {
+      acc.accumulate(v.index_at(p), v.value_at(p), sr.add);
+    }
+  }
+}
+
 /// Owner-side finalize of an accumulate scatter: owner ctx.locale()
 /// turns its dense accumulator into its sorted piece of the result (the
 /// paper's denseToSparse scan), dropping entries that fail `mask`.
@@ -400,6 +421,23 @@ SparseVec<T> finalize_owner(LocaleCtx& ctx, const Spa<T>& spa,
   ctx.parallel_region(c);
   return SparseVec<T>::from_sorted(local_size, std::move(idx),
                                    std::move(val));
+}
+
+/// Processor row `prow`'s gathered input: the x pieces of its pc
+/// members, concatenated in member order, as a vector of capacity
+/// `rows` (the row block's height).
+template <typename T>
+SparseVec<T> gather_row(const DistSparseVec<T>& x, int prow, int pc,
+                        Index rows) {
+  std::vector<Index> idx;
+  std::vector<T> val;
+  for (int i = 0; i < pc; ++i) {
+    const auto& piece = x.local(prow * pc + i);
+    idx.insert(idx.end(), piece.domain().indices().begin(),
+               piece.domain().indices().end());
+    val.insert(val.end(), piece.values().begin(), piece.values().end());
+  }
+  return SparseVec<T>::from_sorted(rows, std::move(idx), std::move(val));
 }
 
 template <typename TA, typename T, typename SR>
@@ -437,25 +475,24 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
       });
   obs::GridSpan gather_span(grid, "spmspv.gather");
   CommStats cs0 = grid.comm_stats();
-  std::vector<SparseVec<T>> xr(nloc);
-  grid.coforall_locales([&](LocaleCtx& ctx) {
+  // Every member of a processor row gathers the same pieces, so the
+  // row's input is built once, by its first member, and shared by the
+  // local phase; each member still charges its own gather.
+  std::vector<SparseVec<T>> xr(static_cast<std::size_t>(pr));
+  gather_site.coforall([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
-    const auto& blk = a.block(l);
     const int prow = grid.locale(l).row;
-    std::vector<Index> idx;
-    std::vector<T> val;
     auto in = gather_site.gather(ctx);
     for (int i = 0; i < pc; ++i) {
       const int src = prow * pc + i;
-      const auto& piece = x.local(src);
-      idx.insert(idx.end(), piece.domain().indices().begin(),
-                 piece.domain().indices().end());
-      val.insert(val.end(), piece.values().begin(), piece.values().end());
-      in.piece(src, piece.nnz(), piece);
+      in.piece(src, x.local(src).nnz(), x.local(src));
     }
     in.finish();
-    xr[l] = SparseVec<T>::from_sorted(blk.rhi - blk.rlo, std::move(idx),
-                                      std::move(val));
+    if (l == prow * pc) {
+      const auto& blk = a.block(l);
+      xr[static_cast<std::size_t>(prow)] =
+          gather_row(x, prow, pc, blk.rhi - blk.rlo);
+    }
   });
   if (opt.use_collectives) {
     for (int r = 0; r < pr; ++r) {
@@ -485,6 +522,7 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
   (grid.*dispatch)([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
     const auto& blk = a.block(l);
+    const auto& xl = xr[static_cast<std::size_t>(grid.locale(l).row)];
     // Straggler shedding (opt-in): if barrier detection flagged this
     // locale's host, move opt.straggler_shed of the multiply's modeled
     // time to the fastest clean locale in this processor row. The real
@@ -493,14 +531,14 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
     const int helper =
         detail::shed_helper(grid, l, pc, opt.straggler_shed, remap);
     if (helper < 0) {
-      ly[l] = spmspv_shm(ctx, blk.csr, blk.rlo, xr[l], blk.clo, blk.chi, sr,
+      ly[l] = spmspv_shm(ctx, blk.csr, blk.rlo, xl, blk.clo, blk.chi, sr,
                          opt);
       return;
     }
     const double shed = opt.straggler_shed;
     const double before = ctx.clock().now();
     ctx.set_charge_scale(1.0 - shed);
-    ly[l] = spmspv_shm(ctx, blk.csr, blk.rlo, xr[l], blk.clo, blk.chi, sr,
+    ly[l] = spmspv_shm(ctx, blk.csr, blk.rlo, xl, blk.clo, blk.chi, sr,
                        opt);
     ctx.set_charge_scale(1.0);
     const double charged = ctx.clock().now() - before;
@@ -509,7 +547,7 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
     // its share of the gathered input.
     LocaleCtx hctx(grid, helper);
     hctx.remote_bulk(l, static_cast<std::int64_t>(
-                            16.0 * static_cast<double>(xr[l].nnz()) * shed));
+                            16.0 * static_cast<double>(xl.nnz()) * shed));
     grid.clock(remap.host(helper)).advance(charged / (1.0 - shed) * shed);
     grid.metrics().counter("spmspv.rebalanced").inc();
     auto* session = grid.trace_session();
@@ -540,25 +578,13 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
   obs::GridSpan scatter_span(grid, "spmspv.scatter");
   cs0 = grid.comm_stats();
   DistSparseVec<T> y(grid, a.ncols());
-  std::vector<Spa<T>> yspa;
-  yspa.reserve(nloc);
-  for (int o = 0; o < nloc; ++o) {
-    yspa.emplace_back(y.dist().lo(o), y.dist().hi(o));
-  }
-  struct Update {
+  struct Update {  // the wire element
     Index j;
     T v;
   };
-  grid.coforall_locales([&](LocaleCtx& ctx) {
-    const auto& part = ly[ctx.locale()];
-    auto out = scatter_site.scatter<Update>(
-        ctx, [&](int o, const Update& u) {
-          yspa[o].accumulate(u.j, u.v, sr.add);
-        });
-    for (Index p = 0; p < part.nnz(); ++p) {
-      const Index j = part.index_at(p);
-      out.push(y.dist().owner(j), Update{j, part.value_at(p)});
-    }
+  scatter_site.coforall([&](LocaleCtx& ctx) {
+    auto out = scatter_site.scatter<Update>(ctx);
+    out.push_sorted(0, ly[ctx.locale()].domain().indices(), y.dist());
     out.finish();
   });
   if (opt.use_collectives) {
@@ -570,9 +596,14 @@ DistSparseVec<T> spmspv_dist_impl(const DistCsr<TA>& a,
     }
     grid.barrier_all();
   }
+  scatter_site.group_runs();
   grid.coforall_compute([&](LocaleCtx& ctx) {
     const int o = ctx.locale();
-    y.local(o) = finalize_owner(ctx, yspa[o], y.dist().local_size(o), mask,
+    Spa<T> spa(y.dist().lo(o), y.dist().hi(o));
+    accumulate_runs(scatter_site, o, &spa,
+                    [&](int, int l) -> const SparseVec<T>& { return ly[l]; },
+                    sr);
+    y.local(o) = finalize_owner(ctx, spa, y.dist().local_size(o), mask,
                                 mask_mode);
   });
   scatter_span.end();

@@ -126,33 +126,28 @@ std::vector<DistSparseVec<T>> spmspv_dist_multi(
       });
   obs::GridSpan gather_span(grid, "spmspv.gather");
   CommStats cs0 = grid.comm_stats();
+  // As in spmspv_dist, each processor row's input (per lane) is built
+  // once, by the row's first member.
   std::vector<std::vector<SparseVec<T>>> xr(
       static_cast<std::size_t>(k),
-      std::vector<SparseVec<T>>(static_cast<std::size_t>(nloc)));
-  grid.coforall_locales([&](LocaleCtx& ctx) {
+      std::vector<SparseVec<T>>(static_cast<std::size_t>(pr)));
+  gather_site.coforall([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
-    const auto& blk = a.block(l);
     const int prow = grid.locale(l).row;
-    std::vector<std::vector<Index>> idx(static_cast<std::size_t>(k));
-    std::vector<std::vector<T>> val(static_cast<std::size_t>(k));
     auto in = gather_site.gather(ctx);
     for (int i = 0; i < pc; ++i) {
       const int src = prow * pc + i;
       std::int64_t total = 0;
-      for (int q = 0; q < k; ++q) {
-        const auto& piece = xs[q]->local(src);
-        idx[q].insert(idx[q].end(), piece.domain().indices().begin(),
-                      piece.domain().indices().end());
-        val[q].insert(val[q].end(), piece.values().begin(),
-                      piece.values().end());
-        total += piece.nnz();
-      }
+      for (const auto* x : xs) total += x->local(src).nnz();
       in.piece(src, total);
     }
     in.finish();
-    for (int q = 0; q < k; ++q) {
-      xr[q][l] = SparseVec<T>::from_sorted(
-          blk.rhi - blk.rlo, std::move(idx[q]), std::move(val[q]));
+    if (l == prow * pc) {
+      const auto& blk = a.block(l);
+      for (int q = 0; q < k; ++q) {
+        xr[q][prow] =
+            detail::gather_row(*xs[q], prow, pc, blk.rhi - blk.rlo);
+      }
     }
   });
   gather_span.end();
@@ -170,8 +165,9 @@ std::vector<DistSparseVec<T>> spmspv_dist_multi(
   grid.coforall_compute([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
     const auto& blk = a.block(l);
+    const int prow = grid.locale(l).row;
     for (int q = 0; q < k; ++q) {
-      ly[q][l] = spmspv_shm(ctx, blk.csr, blk.rlo, xr[q][l], blk.clo,
+      ly[q][l] = spmspv_shm(ctx, blk.csr, blk.rlo, xr[q][prow], blk.clo,
                             blk.chi, sr, opt);
     }
   });
@@ -201,42 +197,36 @@ std::vector<DistSparseVec<T>> spmspv_dist_multi(
   std::vector<DistSparseVec<T>> y;
   y.reserve(static_cast<std::size_t>(k));
   for (int q = 0; q < k; ++q) y.emplace_back(grid, a.ncols());
-  // Per-lane accumulators: lane q's per-slot accumulation order is the
-  // solo order (lanes never share a SPA slot, and per-peer FIFO delivery
-  // keeps each lane's order under aggregation).
-  std::vector<std::vector<Spa<T>>> yspa(static_cast<std::size_t>(k));
-  for (int q = 0; q < k; ++q) {
-    yspa[static_cast<std::size_t>(q)].reserve(nloc);
-    for (int o = 0; o < nloc; ++o) {
-      yspa[static_cast<std::size_t>(q)].emplace_back(y[q].dist().lo(o),
-                                                     y[q].dist().hi(o));
-    }
-  }
-  grid.coforall_locales([&](LocaleCtx& ctx) {
+  // Lanes are charged lane-major, as per-element pushes would be; the
+  // runs of every lane share the per-destination flush sequence.
+  scatter_site.coforall([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
-    auto out = scatter_site.scatter<Update>(
-        ctx, [&](int o, const Update& u) {
-          yspa[u.q][o].accumulate(u.j, u.v, sr.add);
-        });
+    auto out = scatter_site.scatter<Update>(ctx);
     for (int q = 0; q < k; ++q) {
-      const auto& part = ly[q][l];
-      for (Index p = 0; p < part.nnz(); ++p) {
-        const Index j = part.index_at(p);
-        out.push(y[q].dist().owner(j),
-                 Update{j, part.value_at(p), static_cast<std::int32_t>(q)});
-      }
+      out.push_sorted(q, ly[q][l].domain().indices(), y[q].dist());
     }
     out.finish();
   });
-  // Finalize each lane at its owners — the solo finalize, hence
+  // Accumulate and finalize each lane at its owners — the solo order of
+  // adds per slot (lanes never share a SPA) and the solo finalize, hence
   // byte-identical lane outputs.
+  scatter_site.group_runs();
   grid.coforall_compute([&](LocaleCtx& ctx) {
     const int o = ctx.locale();
+    std::vector<Spa<T>> spa;
+    spa.reserve(static_cast<std::size_t>(k));
+    for (int q = 0; q < k; ++q) {
+      spa.emplace_back(y[q].dist().lo(o), y[q].dist().hi(o));
+    }
+    detail::accumulate_runs(
+        scatter_site, o, spa.data(),
+        [&](int q, int l) -> const SparseVec<T>& { return ly[q][l]; }, sr);
     for (int q = 0; q < k; ++q) {
       const DistDenseVec<std::uint8_t>* mask =
           masks.empty() ? nullptr : masks[static_cast<std::size_t>(q)];
       y[q].local(o) = detail::finalize_owner(
-          ctx, yspa[q][o], y[q].dist().local_size(o), mask, mask_mode);
+          ctx, spa[static_cast<std::size_t>(q)], y[q].dist().local_size(o),
+          mask, mask_mode);
     }
   });
   scatter_span.end();

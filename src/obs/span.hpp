@@ -121,20 +121,6 @@ class LocaleSpan {
   std::uint64_t epoch_ = 0;
 };
 
-/// Instant event on one locale's track (no-op without a session);
-/// buffered like LocaleSpan inside a coforall_compute body.
-inline void trace_instant(LocaleCtx& ctx, const char* name,
-                          TraceArgs args = {}) {
-  auto* session = ctx.grid().trace_session();
-  if (session == nullptr) return;
-  const double now = ctx.clock().now();
-  if (TrackLog* log = ctx.trace_log()) {
-    log->instant(name, now, session->wall_now_us(), std::move(args));
-  } else {
-    session->instant(ctx.locale(), name, now, std::move(args));
-  }
-}
-
 #define PGB_OBS_CONCAT2(a, b) a##b
 #define PGB_OBS_CONCAT(a, b) PGB_OBS_CONCAT2(a, b)
 

@@ -30,12 +30,17 @@ CommMode parse_comm_mode(const std::string& s) {
 
 AggChannel::AggChannel(LocaleCtx& ctx, AggConfig cfg)
     : ctx_(ctx), cfg_(cfg) {
-  ctx.require_comm();
   PGB_REQUIRE(cfg_.capacity >= 1, "aggregator capacity must be positive");
   PGB_REQUIRE(cfg_.contention >= 1.0, "contention multiplier must be >= 1");
   auto& grid = ctx.grid();
   epoch_ = grid.epoch();
-  grid.agg_metrics();  // the first channel registers the agg.* family
+  // The first channel registers the agg.* family; a coforall_compute
+  // body's log registers it at the join.
+  if (BodyLog* log = ctx.body_log()) {
+    log->agg = true;
+  } else {
+    grid.agg_metrics();
+  }
 }
 
 void AggChannel::issue(int peer, double cost, std::int64_t msgs,
@@ -43,17 +48,19 @@ void AggChannel::issue(int peer, double cost, std::int64_t msgs,
   auto& grid = ctx_.grid();
   if (grid.epoch() != epoch_) return;  // constructed before a reset
   const std::int64_t seq = next_seq_++;
-  const auto& hot = grid.hot();
-  const auto& m = grid.agg_metrics();
-  hot.logical_messages->inc(msgs);
+  BodyLog* log = ctx_.body_log();
 
   // Consult the fault plan: a dropped/corrupted flush is re-sent under
   // the same sequence number, a duplicated one is deduplicated by the
   // receiver. Each wire copy is real traffic; resends also re-occupy
-  // the injection channel below.
+  // the injection channel below. coforall_compute runs the serial loop
+  // while a plan is attached, so only a body without a log gets here.
   DeliveryOutcome out;
   FaultPlan* plan = grid.fault_plan();
   if (plan != nullptr) {
+    PGB_ASSERT(log == nullptr, "fault plan inside a coforall_compute body");
+    const auto& hot = grid.hot();
+    const auto& m = grid.agg_metrics();
     out = plan_delivery(*plan, grid.retry_policy(), ctx_.host(),
                         grid.host_of(peer), ctx_.clock().now());
     hot.retries->inc(out.attempts - 1);
@@ -75,28 +82,41 @@ void AggChannel::issue(int peer, double cost, std::int64_t msgs,
   ++stats_.flushes;
   stats_.messages += msgs * wire;
   stats_.bytes += bytes * wire;
-  hot.agg_flushes->inc();
-  hot.messages->inc(msgs * wire);
-  hot.bytes->inc(bytes * wire);
-  // Comm-matrix attribution mirrors the two hot counters above exactly
-  // (wire multiplicity included) on physical hosts, preserving the
+  if (log != nullptr) {
+    log->logical_messages += msgs;
+    ++log->agg_flushes;
+    log->messages += msgs * wire;
+    log->bytes += bytes * wire;
+    log->agg_messages += msgs * wire;
+    log->agg_bytes += bytes * wire;
+    log->count_path(CommPath::kAgg, msgs * wire);
+    if (elems >= 0) log->occupancy[is_get ? 1 : 0].push_back(elems);
+  } else {
+    const auto& hot = grid.hot();
+    const auto& m = grid.agg_metrics();
+    hot.logical_messages->inc(msgs);
+    hot.agg_flushes->inc();
+    hot.messages->inc(msgs * wire);
+    hot.bytes->inc(bytes * wire);
+    m.messages->inc(msgs * wire);
+    m.bytes->inc(bytes * wire);
+    m.path_messages->inc(msgs * wire);
+    if (elems >= 0) (is_get ? m.occ_get : m.occ_put)->observe(elems);
+  }
+  // Comm-matrix attribution mirrors the hot counters above exactly (wire
+  // multiplicity included) on physical hosts, preserving the
   // matrix-totals == comm.messages/comm.bytes conservation invariant.
   grid.comm_matrix_add(CommPath::kAgg, ctx_.host(), grid.host_of(peer),
                        msgs * wire, bytes * wire);
-  m.messages->inc(msgs * wire);
-  m.bytes->inc(bytes * wire);
-  m.path_messages->inc(msgs * wire);
-  if (elems >= 0) (is_get ? m.occ_get : m.occ_put)->observe(elems);
 
   auto* session = grid.trace_session();
   if (session != nullptr && session->detail()) {
-    session->instant(ctx_.locale(), is_get ? "agg.flush_get" : "agg.flush_put",
-                     ctx_.clock().now(),
-                     {{"peer", std::to_string(peer)},
-                      {"bytes", std::to_string(bytes)},
-                      {"elems", std::to_string(elems)},
-                      {"seq", std::to_string(seq)},
-                      {"attempts", std::to_string(out.attempts)}});
+    ctx_.trace_instant(is_get ? "agg.flush_get" : "agg.flush_put",
+                       {{"peer", std::to_string(peer)},
+                        {"bytes", std::to_string(bytes)},
+                        {"elems", std::to_string(elems)},
+                        {"seq", std::to_string(seq)},
+                        {"attempts", std::to_string(out.attempts)}});
   }
 
   // Duplicates overlap the original; serialized attempts plus injected

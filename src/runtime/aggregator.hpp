@@ -14,6 +14,10 @@
 //   SrcAggregator<T>  buffered remote gets — get(peer, req) queues a
 //                     request; a flush ships the request batch and the
 //                     response batch as two bulks.
+//   PutCounts         DstAggregator's charging without its buffers, for
+//                     callers whose receivers read the data themselves:
+//                     push(peer, n) charges the flushes n single pushes
+//                     would.
 //   AggChannel        the shared flush pipeline: charges the machine
 //                     model (one remote_bulk per flush plus a small
 //                     header round trip), models double-buffered overlap
@@ -112,7 +116,7 @@ class AggChannel {
   const AggregatorStats& stats() const { return stats_; }
   LocaleCtx& ctx() { return ctx_; }
 
-  void count_push() { ++stats_.pushed; }
+  void count_push(std::int64_t n = 1) { stats_.pushed += n; }
 
   /// One buffered-put flush: header round trip + one bulk of `bytes` to
   /// `peer`. No-op (beyond stats) for the self peer. `elems` (when >= 0)
@@ -252,6 +256,53 @@ class DstAggregator {
   AggChannel chan_;
   DeliverFn deliver_;
   PeerBuffers<T> buf_;
+};
+
+/// The flushes of a DstAggregator of `elem_bytes`-byte elements, for a
+/// caller that moves the data some other way: push(peer, n) charges and
+/// counts exactly what n single DstAggregator pushes to `peer` would, and
+/// so does flush_all().
+class PutCounts {
+ public:
+  PutCounts(LocaleCtx& ctx, AggConfig cfg, std::int64_t elem_bytes)
+      : chan_(ctx, cfg), elem_bytes_(elem_bytes) {}
+
+  PutCounts(const PutCounts&) = delete;
+  PutCounts& operator=(const PutCounts&) = delete;
+
+  ~PutCounts() { flush_all(); }
+
+  void push(int peer, std::int64_t n) {
+    chan_.count_push(n);
+    std::int64_t& fill = fill_.at(peer);
+    fill += n;
+    // A buffer ships the moment it reaches capacity.
+    const std::int64_t cap = chan_.config().capacity;
+    for (; fill >= cap; fill -= cap) flush_put(peer, cap);
+  }
+
+  /// Ships every non-empty buffer, in ascending peer order, and joins
+  /// the in-flight transfer.
+  void flush_all() {
+    for (int p = fill_.first(); p < fill_.end(); ++p) {
+      std::int64_t& fill = *fill_.find(p);
+      if (fill == 0) continue;
+      flush_put(p, fill);
+      fill = 0;
+    }
+    chan_.drain();
+  }
+
+  const AggregatorStats& stats() const { return chan_.stats(); }
+
+ private:
+  void flush_put(int peer, std::int64_t n) {
+    chan_.flush_put(peer, n * elem_bytes_, n);
+  }
+
+  AggChannel chan_;
+  std::int64_t elem_bytes_;
+  PeerSpan<std::int64_t> fill_;
 };
 
 /// Buffered remote gets. `T` is the request record (e.g. {output slot,

@@ -20,16 +20,32 @@
 //     placed them on the initiator's host) treated as local — except
 //     that a pull leaves them to the comm funnel;
 //   - the replica cache of read-only gathers and pulls;
+//   - the dispatch of a wave's initiator bodies (coforall): on the host
+//     pool, unless the wave replicates;
 //   - reporting each kAuto wave's charged time to Inspector::observe.
 //
-// Data always moves in-process through the kernel's own delivery
-// functor, which every schedule runs — the aggregated one from its
-// flushes, in per-peer FIFO order — so outputs are byte-identical
-// across schedules; only the charging differs.
+// Data always moves in-process and the schedules differ only in their
+// charging, so outputs are byte-identical across schedules. How the
+// data moves depends on the shape:
+//
+//   - a gather's kernel reads the pieces itself;
+//   - a route delivers each element through the kernel's functor as it
+//     is pushed, and a pull resolves each request through the kernel's
+//     functor (the aggregated schedule from its flushes, in per-peer
+//     FIFO order);
+//   - an accumulate scatter moves nothing during the wave. Each
+//     initiator charges its sorted output one owner run at a time and
+//     records where the run lies (Scatter::push_sorted). After the wave
+//     every owner reads its runs in initiator order (runs_to), so each
+//     of its accumulator slots sees the adds in the order per-element
+//     delivery made them, and no body writes another locale's data.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -80,6 +96,15 @@ struct SiteSpec {
   bool collective = false;
 };
 
+/// One run of an owner-side accumulate: elements [begin, end) of lane
+/// `lane` of initiator `from`'s sorted output, all bound for one owner.
+struct AccumRun {
+  int from = 0;
+  int lane = 0;
+  Index begin = 0;
+  Index end = 0;
+};
+
 class CommSite {
  public:
   /// Resolves the wave's schedule. Under kAuto (and no collective),
@@ -112,6 +137,9 @@ class CommSite {
       strategy_ = d.strategy;
       agg_.capacity = d.agg_capacity;
     }
+    if (spec.shape == SiteShape::kAccumulate) {
+      sent_.resize(static_cast<std::size_t>(grid.num_locales()));
+    }
     t0_ = grid.time();
   }
 
@@ -128,20 +156,70 @@ class CommSite {
     return t;
   }
 
+  /// Runs the wave's initiator bodies: on the host pool
+  /// (LocaleGrid::coforall_compute), except for a replicating wave, whose
+  /// initiators all read and fill the inspector's replica cache; that one
+  /// keeps the serial loop.
+  void coforall(const std::function<void(LocaleCtx&)>& body) {
+    if (strategy_ == SiteStrategy::kReplicate) {
+      grid_.coforall_locales(body);
+    } else {
+      grid_.coforall_compute(body);
+    }
+  }
+
   class Gather;
-  template <typename Elem, typename Deliver>
   class Scatter;
+  template <typename Elem, typename Deliver>
+  class Route;
   template <typename Req, typename Resolve>
   class Pull;
 
   /// One initiator's gather (SiteShape::kGather).
   Gather gather(LocaleCtx& ctx);
 
-  /// One initiator's accumulate scatter or route. `deliver(peer, elem)`
+  /// One initiator's accumulate scatter of Elem-sized elements; it only
+  /// charges (SiteShape::kAccumulate).
+  template <typename Elem>
+  Scatter scatter(LocaleCtx& ctx);
+
+  /// One initiator's route of Elem-sized elements. `deliver(peer, elem)`
   /// performs the write at `peer`.
   template <typename Elem, typename Deliver>
-  Scatter<Elem, Deliver> scatter(LocaleCtx& ctx, Deliver deliver) {
-    return Scatter<Elem, Deliver>(*this, ctx, std::move(deliver));
+  Route<Elem, Deliver> scatter(LocaleCtx& ctx, Deliver deliver) {
+    return Route<Elem, Deliver>(*this, ctx, std::move(deliver));
+  }
+
+  /// Groups the runs the wave's initiators recorded by owner. Call once,
+  /// after the initiators' dispatch and before the owners read.
+  void group_runs() {
+    const int n = grid_.num_locales();
+    run_start_.assign(static_cast<std::size_t>(n) + 1, 0);
+    for (const auto& sent : sent_) {
+      for (const SentRun& r : sent) {
+        ++run_start_[static_cast<std::size_t>(r.owner) + 1];
+      }
+    }
+    for (int o = 0; o < n; ++o) {
+      run_start_[static_cast<std::size_t>(o) + 1] +=
+          run_start_[static_cast<std::size_t>(o)];
+    }
+    runs_.resize(run_start_.back());
+    std::vector<std::size_t> next(run_start_.begin(), run_start_.end() - 1);
+    for (int from = 0; from < n; ++from) {
+      for (const SentRun& r : sent_[static_cast<std::size_t>(from)]) {
+        runs_[next[static_cast<std::size_t>(r.owner)]++] =
+            AccumRun{from, r.lane, r.begin, r.end};
+      }
+    }
+  }
+
+  /// Owner `owner`'s runs, in initiator order and, per initiator, in
+  /// lane order: the order per-element delivery would have added them.
+  std::span<const AccumRun> runs_to(int owner) const {
+    const auto o = static_cast<std::size_t>(owner);
+    return std::span<const AccumRun>(runs_).subspan(
+        run_start_[o], run_start_[o + 1] - run_start_[o]);
   }
 
   /// One initiator's pulls (SiteShape::kPull). `resolve(owner, req)`
@@ -197,6 +275,14 @@ class CommSite {
     insp_->cache_install(name_, src, ctx.host(), tag, bytes);
   }
 
+  /// A run as its initiator records it.
+  struct SentRun {
+    int owner;
+    int lane;
+    Index begin;
+    Index end;
+  };
+
   LocaleGrid& grid_;
   SiteSpec spec_;
   std::string name_;
@@ -204,6 +290,10 @@ class CommSite {
   SiteStrategy strategy_ = SiteStrategy::kFine;
   Inspector* insp_ = nullptr;  ///< non-null under kAuto only
   double t0_ = 0.0;
+  /// Accumulate sites: each initiator's runs, written by its body only.
+  std::vector<std::vector<SentRun>> sent_;
+  std::vector<AccumRun> runs_;         ///< grouped by owner
+  std::vector<std::size_t> run_start_;  ///< owner o: [start[o], start[o+1])
 };
 
 /// A gather's remote pieces, one call per source. Every schedule builds
@@ -274,33 +364,43 @@ inline CommSite::Gather CommSite::gather(LocaleCtx& ctx) {
   return Gather(*this, ctx);
 }
 
-/// An accumulate scatter's or a route's elements, one push per element.
+/// An accumulate scatter's or a route's charges for one initiator.
 /// Per-peer counts cover only the span of peers pushed to.
-template <typename Elem, typename Deliver>
 class CommSite::Scatter {
  public:
-  Scatter(CommSite& site, LocaleCtx& ctx, Deliver deliver)
-      : site_(site), ctx_(ctx), self_host_(ctx.host()),
-        deliver_(std::move(deliver)) {
-    if (site.aggregated()) {
-      agg_.emplace(
-          ctx,
-          [this](int peer, std::vector<Elem>& batch) {
-            for (const Elem& e : batch) deliver_(peer, e);
-          },
-          site.agg_);
-    }
+  Scatter(CommSite& site, LocaleCtx& ctx, std::int64_t elem_bytes)
+      : site_(site), ctx_(ctx), self_host_(ctx.host()) {
+    if (site.aggregated()) agg_.emplace(ctx, site.agg_, elem_bytes);
   }
 
   Scatter(const Scatter&) = delete;
   Scatter& operator=(const Scatter&) = delete;
 
-  void push(int peer, const Elem& e) {
-    ++counts_.at(peer);
-    if (agg_) {
-      agg_->push(peer, e);
-    } else {
-      deliver_(peer, e);
+  /// Charges `n` elements bound for `peer`: the same counts, and the
+  /// same aggregator flushes, as n single pushes.
+  void push_count(int peer, std::int64_t n) {
+    counts_.at(peer) += n;
+    if (agg_) agg_->push(peer, n);
+  }
+
+  /// Charges lane `lane` of the initiator's sorted output, whose indices
+  /// `idx` are owned per `dist`: one push_count per owner run, in index
+  /// order. Records each run for the owners (runs_to). Accumulate sites
+  /// only; call lanes in ascending order.
+  void push_sorted(int lane, std::span<const Index> idx,
+                   const BlockDist1D& dist) {
+    PGB_ASSERT(site_.spec_.shape == SiteShape::kAccumulate,
+               "push_sorted outside an accumulate site");
+    auto& sent = site_.sent_[static_cast<std::size_t>(ctx_.locale())];
+    const auto n = static_cast<Index>(idx.size());
+    for (Index p = 0; p < n;) {
+      const int o = dist.owner(idx[static_cast<std::size_t>(p)]);
+      const Index e = std::lower_bound(idx.begin() + p, idx.end(),
+                                       dist.hi(o)) -
+                      idx.begin();
+      push_count(o, e - p);
+      sent.push_back(SentRun{o, lane, p, e});
+      p = e;
     }
   }
 
@@ -391,9 +491,34 @@ class CommSite::Scatter {
   CommSite& site_;
   LocaleCtx& ctx_;
   int self_host_;
-  Deliver deliver_;
   PeerSpan<std::int64_t> counts_;
-  std::optional<DstAggregator<Elem>> agg_;
+  std::optional<PutCounts> agg_;
+};
+
+template <typename Elem>
+CommSite::Scatter CommSite::scatter(LocaleCtx& ctx) {
+  return Scatter(*this, ctx, static_cast<std::int64_t>(sizeof(Elem)));
+}
+
+/// A route's elements: each push delivers at once and is charged as a
+/// Scatter push_count of one.
+template <typename Elem, typename Deliver>
+class CommSite::Route {
+ public:
+  Route(CommSite& site, LocaleCtx& ctx, Deliver deliver)
+      : charge_(site, ctx, static_cast<std::int64_t>(sizeof(Elem))),
+        deliver_(std::move(deliver)) {}
+
+  void push(int peer, const Elem& e) {
+    deliver_(peer, e);
+    charge_.push_count(peer, 1);
+  }
+
+  void finish(const CostVector& node_work = {}) { charge_.finish(node_work); }
+
+ private:
+  Scatter charge_;
+  Deliver deliver_;
 };
 
 /// An initiator's pulls, one get per requested element. Co-hosted owners

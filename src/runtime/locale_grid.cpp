@@ -42,38 +42,63 @@ void LocaleCtx::serial_region(const CostVector& cost) {
                   region_time(grid_.model().node, cost, 1, grid_.colocated()));
 }
 
+void LocaleCtx::trace_instant(std::string name, obs::TraceArgs args) {
+  auto* session = grid_.trace_session();
+  if (session == nullptr) return;
+  const double now = clock().now();
+  if (log_ != nullptr) {
+    log_->trace.instant(std::move(name), now, session->wall_now_us(),
+                        std::move(args));
+  } else {
+    session->instant(locale_, std::move(name), now, std::move(args));
+  }
+}
+
 void LocaleCtx::comm_event(CommPath path, int peer, std::int64_t msgs,
                            std::int64_t bytes, std::int64_t bulks) {
-  const auto& hot = grid_.hot();
-  hot.messages->inc(msgs);
-  hot.bytes->inc(bytes);
-  hot.bulks->inc(bulks);
+  if (log_ != nullptr) {
+    log_->messages += msgs;
+    log_->bytes += bytes;
+    log_->bulks += bulks;
+    log_->count_path(path, msgs);
+  } else {
+    const auto& hot = grid_.hot();
+    hot.messages->inc(msgs);
+    hot.bytes->inc(bytes);
+    hot.bulks->inc(bulks);
+    grid_.path_messages(path).inc(msgs);
+  }
   // Matrix attribution mirrors the counters above exactly (same msgs and
   // bytes, once per wire attempt) and keys on *physical* hosts, so the
   // matrix totals stay conserved against comm.messages/comm.bytes.
   grid_.comm_matrix_add(path, host(), grid_.host_of(peer), msgs, bytes);
-  grid_.path_messages(path).inc(msgs);
   auto* session = grid_.trace_session();
   if (session != nullptr && session->detail()) {
-    session->instant(locale_, std::string("comm.") + comm_path_name(path),
-                     clock().now(),
-                     {{"peer", std::to_string(peer)},
-                      {"messages", std::to_string(msgs)},
-                      {"bytes", std::to_string(bytes)}});
+    trace_instant(std::string("comm.") + comm_path_name(path),
+                  {{"peer", std::to_string(peer)},
+                   {"messages", std::to_string(msgs)},
+                   {"bytes", std::to_string(bytes)}});
   }
 }
 
 void LocaleCtx::transfer(CommPath path, int peer, std::int64_t msgs,
                          std::int64_t bytes, std::int64_t bulks,
                          double cost) {
-  const auto& hot = grid_.hot();
-  hot.logical_messages->inc(msgs);
   FaultPlan* plan = grid_.fault_plan();
   if (plan == nullptr) {
+    if (log_ != nullptr) {
+      log_->logical_messages += msgs;
+    } else {
+      grid_.hot().logical_messages->inc(msgs);
+    }
     comm_event(path, peer, msgs, bytes, bulks);
     clock().advance(cost);
     return;
   }
+  // coforall_compute runs the serial loop while a plan is attached.
+  PGB_ASSERT(log_ == nullptr, "fault plan inside a coforall_compute body");
+  const auto& hot = grid_.hot();
+  hot.logical_messages->inc(msgs);
   // The fault plan reasons about *physical* locales: a stall targeted at
   // locale 3 follows whatever logical work is hosted there, and a dead
   // host stays unreachable no matter which logical ids once lived on it.
@@ -109,7 +134,6 @@ void LocaleCtx::transfer(CommPath path, int peer, std::int64_t msgs,
 void LocaleCtx::remote_chain(int peer, std::int64_t count,
                              double rts_per_elem, std::int64_t bytes_each,
                              double contention) {
-  require_comm();
   // Locality is decided by *hosts*: after a degraded-mode remap, two
   // logical locales sharing a survivor exchange data through its memory,
   // not the wire. Identity membership makes this the plain self check.
@@ -130,7 +154,6 @@ void LocaleCtx::remote_chain(int peer, std::int64_t count,
 
 void LocaleCtx::remote_msgs(int peer, std::int64_t count,
                             std::int64_t bytes_each, double contention) {
-  require_comm();
   const int self_h = host();
   const int peer_h = grid_.host_of(peer);
   if (peer_h == self_h) return;
@@ -142,7 +165,6 @@ void LocaleCtx::remote_msgs(int peer, std::int64_t count,
 }
 
 void LocaleCtx::remote_bulk(int peer, std::int64_t bytes) {
-  require_comm();
   const int self_h = host();
   const int peer_h = grid_.host_of(peer);
   if (peer_h == self_h) return;
@@ -152,7 +174,6 @@ void LocaleCtx::remote_bulk(int peer, std::int64_t bytes) {
 }
 
 void LocaleCtx::remote_rt(int peer, std::int64_t bytes_back) {
-  require_comm();
   const int self_h = host();
   const int peer_h = grid_.host_of(peer);
   if (peer_h == self_h) return;
@@ -504,35 +525,49 @@ void LocaleGrid::coforall_locales(const std::function<void(LocaleCtx&)>& body) {
   barrier_all();
 }
 
+void LocaleGrid::merge_log(int l, BodyLog& log) {
+  hot_.parallel_regions->inc(log.parallel_regions);
+  hot_.messages->inc(log.messages);
+  hot_.bytes->inc(log.bytes);
+  hot_.bulks->inc(log.bulks);
+  hot_.logical_messages->inc(log.logical_messages);
+  if (log.agg) {
+    const AggMetrics& m = agg_metrics();
+    hot_.agg_flushes->inc(log.agg_flushes);
+    m.messages->inc(log.agg_messages);
+    m.bytes->inc(log.agg_bytes);
+    for (std::int64_t v : log.occupancy[0]) m.occ_put->observe(v);
+    for (std::int64_t v : log.occupancy[1]) m.occ_get->observe(v);
+  }
+  for (int p = 0; p < kCommPaths; ++p) {
+    if ((log.paths & (1u << p)) != 0) {
+      path_messages(static_cast<CommPath>(p)).inc(log.path_messages[p]);
+    }
+  }
+  if (trace_session_ != nullptr) {
+    trace_session_->replay(l, std::move(log.trace));
+  }
+}
+
 void LocaleGrid::coforall_compute(const std::function<void(LocaleCtx&)>& body) {
-  if (membership_.active() < num_locales()) {
+  if (fault_plan_ != nullptr || membership_.active() < num_locales()) {
     coforall_locales(body);
     return;
   }
   hot_.coforalls->inc();
-  // Every host carries one logical locale, so body l touches only clock
-  // l: all forks can be charged before any body runs, up to the first
-  // dead host, and the bodies below it then run in any order.
+  // Every host carries one logical locale and, without a plan, every
+  // host is up, so body l touches only clock l: all forks can be charged
+  // before any body runs, and the bodies then run in any order.
   Spawn s = begin_spawn();
-  int dispatched = num_locales();
-  for (int l = 0; l < num_locales(); ++l) {
-    if (!spawn(s, l)) {
-      dispatched = l;
-      break;
-    }
-  }
-  std::vector<BodyLog> logs(static_cast<std::size_t>(dispatched));
+  for (int l = 0; l < num_locales(); ++l) spawn(s, l);
+  std::vector<BodyLog> logs(static_cast<std::size_t>(num_locales()));
   auto merge = [&] {
-    for (int l = 0; l < dispatched; ++l) {
-      auto& log = logs[static_cast<std::size_t>(l)];
-      hot_.parallel_regions->inc(log.parallel_regions);
-      if (trace_session_ != nullptr) {
-        trace_session_->replay(l, std::move(log.trace));
-      }
+    for (int l = 0; l < num_locales(); ++l) {
+      merge_log(l, logs[static_cast<std::size_t>(l)]);
     }
   };
   try {
-    HostPool::instance().run(dispatched, [&](int l) {
+    HostPool::instance().run(num_locales(), [&](int l) {
       LocaleCtx ctx(*this, l, &logs[static_cast<std::size_t>(l)]);
       body(ctx);
     });
@@ -541,7 +576,6 @@ void LocaleGrid::coforall_compute(const std::function<void(LocaleCtx&)>& body) {
     throw;
   }
   merge();
-  if (dispatched < num_locales()) fail_spawn(dispatched);
   barrier_all();
 }
 

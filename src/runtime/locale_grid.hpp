@@ -7,7 +7,10 @@
 // (`coforall_locales`, per-locale parallel regions) and the comm-charging
 // helpers advance the clocks according to the machine model, so
 // `grid.time()` after an operation is the modeled distributed-memory
-// runtime of that operation.
+// runtime of that operation. `coforall_compute` runs bodies that charge
+// only their own clock, comm included, on the host's cores, and leaves
+// every clock, counter, comm-matrix cell and trace event exactly as the
+// serial loop would.
 //
 // Placement: `locales_per_node` co-locates several locales on one modeled
 // node (sharing memory bandwidth and paying AM-handler contention), which
@@ -17,6 +20,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -79,11 +83,32 @@ inline const char* comm_path_name(CommPath p) {
 class LocaleGrid;
 
 /// What a LocaleGrid::coforall_compute body records instead of writing
-/// grid-wide state from a pool thread: its parallel-region count and its
-/// trace events. The dispatch merges the logs in locale order at the join.
+/// grid-wide state from a pool thread: its counter increments, its
+/// agg.occupancy observations and its trace events. The dispatch merges
+/// the logs in locale order at the join, registering the lazily
+/// registered keys a body used (comm.messages{path=...}, the agg.*
+/// family) as it goes.
 struct BodyLog {
   std::int64_t parallel_regions = 0;
+  // The comm funnel's hot counters.
+  std::int64_t messages = 0;
+  std::int64_t bytes = 0;
+  std::int64_t bulks = 0;
+  std::int64_t logical_messages = 0;
+  std::int64_t path_messages[kCommPaths] = {};
+  unsigned paths = 0;  ///< bit p: path p carried an event
+  // The aggregation layer's metrics (LocaleGrid::AggMetrics).
+  bool agg = false;  ///< an AggChannel was built
+  std::int64_t agg_flushes = 0;
+  std::int64_t agg_messages = 0;
+  std::int64_t agg_bytes = 0;
+  std::vector<std::int64_t> occupancy[2];  ///< {dir=put}, {dir=get}
   obs::TrackLog trace;
+
+  void count_path(CommPath p, std::int64_t msgs) {
+    paths |= 1u << static_cast<int>(p);
+    path_messages[static_cast<int>(p)] += msgs;
+  }
 };
 
 /// Handle passed to per-locale bodies; provides cost-charging helpers.
@@ -126,18 +151,20 @@ class LocaleCtx {
   /// Charges single-task work (no spawn).
   void serial_region(const CostVector& cost);
 
+  /// The log of a coforall_compute body, which takes the body's registry
+  /// and trace writes; nullptr everywhere else (they go to the grid).
+  BodyLog* body_log() { return log_; }
+
   /// The trace buffer of a coforall_compute body, where LocaleSpan
   /// records; nullptr everywhere else (spans go to the session).
   obs::TrackLog* trace_log() {
     return log_ != nullptr ? &log_->trace : nullptr;
   }
 
-  /// Aborts inside a coforall_compute body, whose contract forbids comm:
-  /// every remote_* helper and every aggregation channel checks it.
-  void require_comm() const {
-    PGB_ASSERT(log_ == nullptr,
-               "comm helper or aggregator used in a coforall_compute body");
-  }
+  /// Records an instant on this locale's track at its clock: into the
+  /// body log inside a coforall_compute body, else into the attached
+  /// session (no-op without one).
+  void trace_instant(std::string name, obs::TraceArgs args = {});
 
   // -- communication charges (data itself is read/written directly by the
   //    caller; these advance this locale's clock per the network model) --
@@ -162,7 +189,8 @@ class LocaleCtx {
 
  private:
   /// Publishes one comm event to the grid's metrics (totals + the
-  /// per-path counter family) and, when a detail-level trace session is
+  /// per-path counter family; the body log's, inside a coforall_compute
+  /// body) and the comm matrix and, when a detail-level trace session is
   /// attached, records an instant event on this locale's track.
   void comm_event(CommPath path, int peer, std::int64_t msgs,
                   std::int64_t bytes, std::int64_t bulks);
@@ -360,7 +388,9 @@ class LocaleGrid {
   // (src, dst) cell, keyed by *physical* hosts: the sender charges
   // through LocaleCtx::host() and the receiver through host_of(peer), so
   // after a degraded-mode remap the adopted logical locale's traffic
-  // lands on its buddy host's row/column, never on the dead host's.
+  // lands on its buddy host's row/column, never on the dead host's. A
+  // coforall_compute body sends only from its own host, so the cells it
+  // writes all lie in that host's row, apart from every other body's.
   // Co-hosted transfers never reach the funnel (they are free), so the
   // diagonal is structurally zero and the matrix totals equal the
   // registry's comm.messages/comm.bytes counters exactly — the
@@ -431,23 +461,27 @@ class LocaleGrid {
   /// then all join at a barrier. The body runs once per locale.
   void coforall_locales(const std::function<void(LocaleCtx&)>& body);
 
-  /// coforall_locales for bodies that only compute on their own locale,
-  /// run on the host thread pool (runtime/host_pool.hpp). Same forks,
-  /// kill check and barrier; clocks, registry and trace end up exactly
-  /// as the serial loop leaves them. A body:
-  ///   - charges only its own clock (ctx.parallel_region/serial_region);
-  ///   - calls no comm helper or aggregator (ctx.require_comm aborts);
+  /// coforall_locales run on the host thread pool (runtime/host_pool.hpp)
+  /// for bodies that charge only their own clock. Same forks and
+  /// barrier; clocks, registry, comm matrix and trace end up exactly as
+  /// the serial loop leaves them. A body:
+  ///   - charges only its own clock: ctx regions, remote_* helpers and
+  ///     aggregation channels built on its ctx;
+  ///   - writes data only where no other body reads or writes it during
+  ///     the dispatch;
   ///   - uses the registry only through those ctx charges;
-  ///   - traces only through obs::LocaleSpan and obs::trace_instant,
-  ///     which record into its log.
-  /// Each body's region counts and spans are buffered per locale and
-  /// merged in locale order at the join. A dead locale k stops the
-  /// dispatch as in the serial loop: bodies 0..k-1 run and are merged,
-  /// then the kill is recorded and LocaleFailed(k) thrown. If bodies
-  /// throw, every dispatched body still runs and is merged, and the
-  /// lowest locale's exception propagates without a barrier. A degraded
-  /// remap (two logical locales on one host, sharing its clock) falls
-  /// back to coforall_locales.
+  ///   - traces only through its ctx (obs::LocaleSpan,
+  ///     ctx.trace_instant and the comm helpers' detail instants).
+  /// Its counter increments, agg.occupancy observations and trace
+  /// events go to a per-locale BodyLog, merged in locale order at the
+  /// join; its comm-matrix cells lie in its own host's row. If bodies
+  /// throw, every body still runs and is merged, and the lowest locale's
+  /// exception propagates without a barrier. Three cases run the serial
+  /// loop instead: an attached fault plan (every delivery draws from its
+  /// one sequential RNG, and its kill check stops the dispatch), a
+  /// degraded remap (two logical locales on one host, sharing its clock),
+  /// and, chosen by the caller, a gather wave that replicates
+  /// (CommSite::coforall: the inspector's replica cache is shared).
   void coforall_compute(const std::function<void(LocaleCtx&)>& body);
 
   /// Advance every clock to the common max plus barrier cost; returns the
@@ -532,6 +566,8 @@ class LocaleGrid {
   bool spawn(Spawn& s, int l);
   /// Records the dead host spawn() found for `l` and throws LocaleFailed.
   [[noreturn]] void fail_spawn(int l);
+  /// Applies one coforall_compute body's log to the registry and trace.
+  void merge_log(int l, BodyLog& log);
 
   void comm_matrix_add_slow(CommPath path, int src, int dst,
                             std::int64_t msgs, std::int64_t bytes);

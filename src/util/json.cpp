@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cerrno>
 #include <cstdlib>
 
@@ -55,6 +56,11 @@ bool JsonValue::as_bool() const {
 }
 
 namespace {
+
+/// Deepest array/object nesting accepted. Every JSON file the repo
+/// commits or its exporters write nests at most 8 deep; the cap keeps a
+/// hostile document from exhausting the stack of the recursive descent.
+constexpr int kMaxDepth = 64;
 
 class Parser {
  public:
@@ -134,7 +140,24 @@ class Parser {
     }
   }
 
+  /// One level of array/object nesting, for as long as it is open.
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : p_(p) {
+      if (++p_.depth_ > kMaxDepth) {
+        p_.fail("nesting deeper than " + std::to_string(kMaxDepth));
+      }
+    }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+    ~Nest() { --p_.depth_; }
+
+   private:
+    Parser& p_;
+  };
+
   JsonValue parse_object() {
+    const Nest nest(*this);
     expect('{');
     JsonValue v;
     v.kind = JsonValue::Kind::kObject;
@@ -162,6 +185,7 @@ class Parser {
   }
 
   JsonValue parse_array() {
+    const Nest nest(*this);
     expect('[');
     JsonValue v;
     v.kind = JsonValue::Kind::kArray;
@@ -261,30 +285,46 @@ class Parser {
     }
   }
 
+  bool at_digit() const {
+    return pos_ < s_.size() &&
+           std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0;
+  }
+
+  /// One or more digits.
+  void digits() {
+    if (!at_digit()) fail("bad number");
+    while (at_digit()) ++pos_;
+  }
+
+  /// RFC 8259: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, within
+  /// the range of a double.
   JsonValue parse_number() {
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) ++pos_;
+    if (pos_ < s_.size() && s_[pos_] == '0') {
+      ++pos_;
+    } else {
+      digits();
+    }
     bool integral = true;
     if (pos_ < s_.size() && s_[pos_] == '.') {
       integral = false;
       ++pos_;
-      while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) ++pos_;
+      digits();
     }
     if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
       integral = false;
       ++pos_;
       if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-')) ++pos_;
-      while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) ++pos_;
+      digits();
     }
     const std::string tok = s_.substr(start, pos_ - start);
-    if (tok.empty() || tok == "-") fail("bad number");
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
-    errno = 0;
     char* end = nullptr;
     v.num = std::strtod(tok.c_str(), &end);
     if (end != tok.c_str() + tok.size()) fail("bad number");
+    if (std::isinf(v.num)) fail("number out of range");
     if (integral) {
       errno = 0;
       const long long ll = std::strtoll(tok.c_str(), &end, 10);
@@ -298,6 +338,7 @@ class Parser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -8,7 +8,9 @@
 // the trace exporter — only need faithful parsing. Full RFC 8259 input
 // grammar: objects, arrays, strings with escapes (incl. \uXXXX, encoded
 // back to UTF-8), numbers, true/false/null. Parse errors throw
-// InvalidArgument with a byte offset.
+// InvalidArgument with a byte offset; so do arrays and objects nested
+// more than 64 deep and numbers beyond the range of a double, since the
+// tools also read files they did not write.
 //
 // Numbers keep both views: `num` (double) always, and `i64` when the
 // token was an integer literal that fits std::int64_t — the profile

@@ -29,9 +29,11 @@
 #include "core/ops.hpp"
 #include "core/spmspv.hpp"
 #include "core/spmspv_multi.hpp"
+#include "fault/fault.hpp"
 #include "fault/replica.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/random_vec.hpp"
+#include "obs/trace.hpp"
 
 namespace pgb {
 namespace {
@@ -433,6 +435,204 @@ TEST(CommSiteGolden, Assign) {
     for (int pass = 0; pass < passes(v); ++pass) assign(a, b, v.comm);
     return output_hash(a.to_local());
   });
+}
+
+// ---- run-length charges ----
+//
+// An accumulate initiator charges each run of its sorted output with one
+// Scatter::push_count(peer, n). Under every schedule that must charge
+// exactly what n single pushes through the serial loop do, and PutCounts
+// exactly what a DstAggregator of the same element size does.
+
+struct Elem16 {
+  Index j;
+  double v;
+};
+
+/// One initiator's runs, (peer, n) in push order.
+using Runs = std::vector<std::pair<int, std::int64_t>>;
+
+struct RunCase {
+  const char* name;
+  Runs (*runs)(int l, int n);
+  bool collective = false;
+  bool remap = false;  ///< logical 5 co-hosted on 4
+};
+
+const RunCase kRunCases[] = {
+    {"straddle",  // runs across, onto and past capacity boundaries
+     [](int l, int n) {
+       return Runs{{(l + 1) % n, 5}, {(l + 1) % n, 4}, {(l + 1) % n, 15},
+                   {(l + 3) % n, 7}, {(l + 2) % n, 2048},
+                   {(l + 2) % n, 2050}, {l, 9}};
+     }},
+    {"lanes",  // two lanes revisiting the same peers
+     [](int l, int n) {
+       return Runs{{(l + 1) % n, 5}, {(l + 3) % n, 7}, {l, 6},
+                   {(l + 1) % n, 9}, {(l + 3) % n, 1}, {l, 3}};
+     }},
+    {"cohosted",
+     [](int l, int n) { return Runs{{4, 6}, {5, 8}, {(l + 2) % n, 10}}; },
+     false, true},
+    {"collective",
+     [](int l, int n) {
+       return Runs{{(l + 1) % n, 5}, {l, 4}, {(l + 1) % n, 8}};
+     },
+     true},
+};
+
+std::string bits_of(double v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
+  return buf;
+}
+
+/// Clock bits, the registry and, when `s` is given, its instants (the
+/// detail trace's flush sequence).
+std::string grid_state(LocaleGrid& g, const obs::TraceSession* s = nullptr) {
+  std::string out;
+  for (int l = 0; l < g.num_locales(); ++l) {
+    out += bits_of(g.clock(l).now()) + " ";
+  }
+  out += '\n';
+  out += g.metrics().json();
+  if (s != nullptr) {
+    for (const auto& e : s->instants()) {
+      out += e.name + " t" + std::to_string(e.track) + " " +
+             bits_of(e.sim_ts);
+      for (const auto& a : e.args) out += " " + a.key + "=" + a.value;
+      out += "\n";
+    }
+  }
+  return out;
+}
+
+TEST(RunLengthCharges, PushCountMatchesSinglePushes) {
+  const std::pair<const char*, CommMode> modes[] = {
+      {"fine", CommMode::kFine},
+      {"bulk", CommMode::kBulk},
+      {"agg", CommMode::kAggregated}};
+  for (const RunCase& rc : kRunCases) {
+    for (const auto& [mode_name, mode] : modes) {
+      for (const std::int64_t cap : {1, 7, 2048}) {
+        auto run = [&](bool counted) {
+          auto g = make_grid(kShapes[0]);
+          if (rc.remap) g.remap_locale(5, 4);
+          CommSite site(g,
+                        {.name = "test.scatter",
+                         .shape = SiteShape::kAccumulate,
+                         .bytes_each = 16,
+                         .fanout = g.rows(),
+                         .collective = rc.collective},
+                        mode, AggConfig{.capacity = cap},
+                        [](SiteFootprint&) {});
+          const int n = g.num_locales();
+          if (counted) {
+            site.coforall([&](LocaleCtx& ctx) {
+              auto out = site.scatter<Elem16>(ctx);
+              for (const auto& [peer, k] : rc.runs(ctx.locale(), n)) {
+                out.push_count(peer, k);
+              }
+              out.finish();
+            });
+          } else {
+            g.coforall_locales([&](LocaleCtx& ctx) {
+              auto out =
+                  site.scatter<Elem16>(ctx, [](int, const Elem16&) {});
+              for (const auto& [peer, k] : rc.runs(ctx.locale(), n)) {
+                for (std::int64_t i = 0; i < k; ++i) out.push(peer, {});
+              }
+              out.finish();
+            });
+          }
+          site.end_wave();
+          return grid_state(g);
+        };
+        EXPECT_EQ(run(true), run(false))
+            << rc.name << "/" << mode_name << "/cap=" << cap;
+      }
+    }
+  }
+}
+
+TEST(RunLengthCharges, PutCountsMatchDstAggregator) {
+  for (const RunCase& rc : kRunCases) {
+    for (const std::int64_t cap : {1, 7, 2048}) {
+      auto run = [&](bool counted, AggregatorStats& stats) {
+        auto g = make_grid(kShapes[0]);
+        obs::TraceSession session(/*detail=*/true);
+        g.set_trace_session(&session);
+        if (rc.remap) g.remap_locale(5, 4);
+        const AggConfig cfg{.capacity = cap};
+        LocaleCtx ctx(g, 4);
+        if (counted) {
+          PutCounts agg(ctx, cfg, sizeof(Elem16));
+          for (const auto& [peer, k] : rc.runs(4, g.num_locales())) {
+            agg.push(peer, k);
+          }
+          agg.flush_all();
+          stats = agg.stats();
+        } else {
+          DstAggregator<Elem16> agg(ctx, [](int, std::vector<Elem16>&) {},
+                                    cfg);
+          for (const auto& [peer, k] : rc.runs(4, g.num_locales())) {
+            for (std::int64_t i = 0; i < k; ++i) agg.push(peer, {});
+          }
+          agg.flush_all();
+          stats = agg.stats();
+        }
+        return grid_state(g, &session);
+      };
+      AggregatorStats a, b;
+      const std::string key = std::string(rc.name) + "/cap=" +
+                              std::to_string(cap);
+      EXPECT_EQ(run(true, a), run(false, b)) << key;
+      EXPECT_EQ(a.pushed, b.pushed) << key;
+      EXPECT_EQ(a.flushes, b.flushes) << key;
+      EXPECT_EQ(a.local_flushes, b.local_flushes) << key;
+      EXPECT_EQ(a.messages, b.messages) << key;
+      EXPECT_EQ(a.bytes, b.bytes) << key;
+      EXPECT_EQ(a.resends, b.resends) << key;
+    }
+  }
+}
+
+// ---- the comm-matrix export of a pooled wave ----
+//
+// A plan that injects nothing keeps a grid on the serial loop without
+// changing a charge, so it is the serial reference for one pooled
+// spmspv_dist wave per schedule.
+
+TEST(CommMatrixExport, PooledSpmspvWaveMatchesTheSerialLoop) {
+  for (const Variant& v : kModes) {
+    auto run = [&](bool serial, std::string& csv) {
+      auto g = make_grid(kShapes[1]);
+      auto a = erdos_renyi_dist<double>(g, kN, 6.0, 11);
+      auto x = random_dist_sparse_vec<double>(g, kN, 240, 12);
+      g.reset();
+      g.enable_comm_matrix();
+      FaultPlan quiet(FaultSpec::parse("drop:p=0"), 1);
+      if (serial) g.set_fault_plan(&quiet);
+      const std::uint64_t out =
+          output_hash(spmspv_dist(a, x, kSr, options(v)).to_local());
+      g.set_fault_plan(nullptr);
+      const CommStats cs = g.comm_stats();
+      EXPECT_EQ(g.comm_matrix_total_messages(), cs.messages) << v.name;
+      EXPECT_EQ(g.comm_matrix_total_bytes(), cs.bytes) << v.name;
+      EXPECT_GT(cs.messages, 0) << v.name;
+      csv = g.comm_matrix_csv();
+      std::string clocks;
+      for (int l = 0; l < g.num_locales(); ++l) {
+        clocks += bits_of(g.clock(l).now()) + " ";
+      }
+      return g.comm_matrix_json() + clocks + std::to_string(out);
+    };
+    std::string pooled_csv, serial_csv;
+    EXPECT_EQ(run(false, pooled_csv), run(true, serial_csv)) << v.name;
+    EXPECT_EQ(pooled_csv, serial_csv) << v.name;
+    EXPECT_NE(pooled_csv.find('\n'), pooled_csv.rfind('\n')) << v.name;
+  }
 }
 
 }  // namespace

@@ -8,7 +8,10 @@
 // the histogram quantile summaries in the metrics JSON.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +28,7 @@
 #include "runtime/locale_grid.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace pgb {
 namespace {
@@ -77,6 +81,99 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(json_parse("{\"a\":1} trailing"), InvalidArgument);
   EXPECT_THROW(json_parse("nul"), InvalidArgument);
   EXPECT_THROW(json_parse("\"unterminated"), InvalidArgument);
+}
+
+TEST(Json, NumbersFollowRfc8259) {
+  struct Case {
+    const char* text;
+    bool ok;
+    double num;
+  };
+  const Case cases[] = {
+      {"0", true, 0.0},        {"-0", true, -0.0},
+      {"7", true, 7.0},        {"-12", true, -12.0},
+      {"0.5", true, 0.5},      {"1e3", true, 1000.0},
+      {"1E+2", true, 100.0},   {"2.5e-1", true, 0.25},
+      {"1e-400", true, 0.0},   {"1.7976931348623157e308", true, 1.7976931348623157e308},
+      {"1.", false, 0.0},      {".5", false, 0.0},
+      {"01", false, 0.0},      {"-01", false, 0.0},
+      {"00", false, 0.0},      {"+1", false, 0.0},
+      {"-", false, 0.0},       {"1e", false, 0.0},
+      {"1e+", false, 0.0},     {"1.e3", false, 0.0},
+      {"-.5", false, 0.0},     {"0x10", false, 0.0},
+      {"1e999", false, 0.0},   {"-1e999", false, 0.0},
+      {"[1.]", false, 0.0},    {"{\"a\":01}", false, 0.0},
+      {"inf", false, 0.0},     {"NaN", false, 0.0},
+  };
+  for (const Case& c : cases) {
+    if (!c.ok) {
+      EXPECT_THROW(json_parse(c.text), InvalidArgument) << c.text;
+      continue;
+    }
+    const JsonValue v = json_parse(c.text);
+    EXPECT_TRUE(v.is_number()) << c.text;
+    EXPECT_EQ(v.num, c.num) << c.text;
+  }
+}
+
+TEST(Json, NestingIsCapped) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(json_parse(nested(64)));
+  EXPECT_THROW(json_parse(nested(65)), InvalidArgument);
+  EXPECT_THROW(json_parse(std::string(100000, '[')), InvalidArgument);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  try {
+    json_parse(objects);
+    FAIL() << "expected the nesting cap";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 64"),
+              std::string::npos);
+  }
+}
+
+TEST(Json, MutatedProfilesParseOrThrow) {
+  // Seeded byte mutations of the committed profile baselines. Every
+  // mutant either parses or throws InvalidArgument: no crash, no other
+  // exception.
+  std::vector<std::string> seeds;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(PGB_SOURCE_DIR) / "BENCH_profiles")) {
+    if (entry.path().extension() != ".json") continue;
+    std::ifstream in(entry.path());
+    std::stringstream ss;
+    ss << in.rdbuf();
+    seeds.push_back(ss.str());
+    EXPECT_NO_THROW(json_parse(seeds.back())) << entry.path();
+  }
+  ASSERT_FALSE(seeds.empty());
+  const std::string alphabet = "0123456789.eE+-,:[]{}\" \\ntrufals";
+  Xoshiro256 rng(2026);
+  int parsed = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::string m = seeds[rng.next() % seeds.size()];
+    const int edits = 1 + static_cast<int>(rng.next() % 3);
+    for (int e = 0; e < edits && !m.empty(); ++e) {
+      const std::size_t at = rng.next() % m.size();
+      const char c = rng.next() % 4 == 0
+                         ? static_cast<char>(rng.next() % 256)
+                         : alphabet[rng.next() % alphabet.size()];
+      switch (rng.next() % 3) {
+        case 0: m[at] = c; break;
+        case 1: m.insert(m.begin() + static_cast<std::ptrdiff_t>(at), c); break;
+        default: m.erase(at, 1); break;
+      }
+    }
+    try {
+      json_parse(m);
+      ++parsed;
+    } catch (const InvalidArgument&) {
+    }
+  }
+  EXPECT_GT(parsed, 0);
 }
 
 // ---------------------------------------------------------------------

@@ -288,7 +288,7 @@ struct ComputeBody {
       c.add(CostKind::kRandAccess, 200.0 * (r + 1));
       c.add(CostKind::kAtomicDistinct, 1000.0 * (l + 1));
       ctx.parallel_region(c);
-      obs::trace_instant(ctx, "test.tick", {{"r", std::to_string(r)}});
+      ctx.trace_instant("test.tick", {{"r", std::to_string(r)}});
     }
     CostVector s;
     s.add(CostKind::kCpuOps, 100.0 * l);
@@ -409,9 +409,12 @@ TEST_P(CoforallCompute, LeavesTheSerialLoopsState) {
     EXPECT_EQ(pooled.failed, -1);
     EXPECT_EQ(pooled.body.runs, std::vector<int>(n, 2));
   }
-  // Traced runs and fault plans keep the pooled path; only a degraded
-  // remap (two logical locales sharing a host clock) takes the serial one.
-  const int expect_buffered = prep == Prep::kRemap ? 0 : 1;
+  // Traced runs keep the pooled path. A fault plan (one sequential RNG
+  // for every delivery) and a degraded remap (two logical locales sharing
+  // a host clock) take the serial one.
+  const bool serial_path = prep == Prep::kFaultPlan || prep == Prep::kKill ||
+                           prep == Prep::kRemap;
+  const int expect_buffered = serial_path ? 0 : 1;
   for (int l = 0; l < n; ++l) {
     if (pooled.body.runs[l] == 0) continue;
     EXPECT_EQ(pooled.body.buffered[l], expect_buffered) << l;
@@ -468,17 +471,133 @@ TEST(CoforallComputeNesting, DispatchFromInsideABodyRunsInline) {
   EXPECT_EQ(inline_everywhere, std::vector<int>(8, 1));
 }
 
-TEST(CoforallComputeDeathTest, CommInsideABodyAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  auto g = LocaleGrid::square(4, 1);
-  EXPECT_DEATH(g.coforall_compute([](LocaleCtx& ctx) {
-    ctx.remote_bulk((ctx.locale() + 1) % 4, 64);
-  }),
-               "coforall_compute body");
-  EXPECT_DEATH(g.coforall_compute([](LocaleCtx& ctx) {
-    DstAggregator<int> agg(ctx, [](int, std::vector<int>&) {});
-  }),
-               "coforall_compute body");
+// ---- coforall_compute bodies that communicate ----
+//
+// The same twin-grid comparison with bodies that call every remote_*
+// helper and flush aggregated puts and gets, on grids with the comm
+// matrix enabled and a detail-level trace session: the comm funnel's
+// counters, the lazily registered keys, the matrix cells and the detail
+// instants must all come out as the serial loop leaves them.
+
+/// Per-locale peers and sizes differ, and some paths and channels are
+/// used by some locales only, so which keys get registered depends on
+/// which bodies ran.
+struct CommBody {
+  bool channels = true;  ///< odd locales build aggregation channels
+  std::vector<int> buffered;
+  std::vector<std::int64_t> got;  ///< per-locale SrcAggregator results
+
+  CommBody(int n, bool with_channels)
+      : channels(with_channels), buffered(n, 0), got(n, 0) {}
+
+  void operator()(LocaleCtx& ctx) {
+    const int l = ctx.locale();
+    const int n = ctx.grid().num_locales();
+    buffered[static_cast<std::size_t>(l)] = ctx.body_log() != nullptr;
+    obs::LocaleSpan span(ctx, "test.comm", {{"l", std::to_string(l)}});
+    if (l % 3 == 0) ctx.remote_chain((l + 1) % n, 5 + l, 1.5, 16, 2.0);
+    ctx.remote_msgs((l + 5) % n, 3 + l, 24, 1.0 + l % 2);
+    if (l % 4 != 1) ctx.remote_bulk((l + 7) % n, 1000 * (l + 1));
+    ctx.remote_rt((l + n - 1) % n, 8);
+    ctx.remote_bulk(l, 64);  // the locale itself: free
+    CostVector c;
+    c.add(CostKind::kCpuOps, 300.0 * (l + 1));
+    ctx.parallel_region(c);
+    if (!channels || l % 2 == 0) return;
+    {
+      AggChannel chan(ctx, AggConfig{.capacity = 4});
+      chan.flush_put((l + 2) % n, 128, 8);
+      chan.flush_get((l + 3) % n, 64, 512, 8);
+      chan.get_elems((l + 6) % n, 11, 16);
+      chan.flush_put(l, 16, 1);  // the locale itself: a local flush
+      chan.drain();
+    }
+    DstAggregator<int> puts(ctx, [](int, std::vector<int>&) {},
+                            AggConfig{.capacity = 3});
+    for (int i = 0; i < 10; ++i) puts.push((l + i) % n, i);
+    std::int64_t sum = 0;
+    SrcAggregator<int> gets(
+        ctx,
+        [&](int peer, std::vector<int>& batch) {
+          for (int r : batch) sum += peer * 100 + r;
+        },
+        AggConfig{.capacity = 2});
+    for (int i = 0; i < 5; ++i) gets.get((l + 2 * i) % n, i);
+    gets.flush_all();
+    puts.flush_all();
+    PutCounts counts(ctx, AggConfig{.capacity = 5}, 24);
+    counts.push((l + 4) % n, 12);
+    counts.push((l + 1) % n, 3);
+    counts.flush_all();
+    got[static_cast<std::size_t>(l)] = sum;
+  }
+};
+
+/// One twin for the comm bodies: a 16-locale grid with the comm matrix
+/// on and a session, two dispatches through coforall_compute (`compute`)
+/// or the serial loop.
+struct CommTwin {
+  static constexpr int kLocales = 16;
+
+  LocaleGrid grid = LocaleGrid::square(kLocales, 24);
+  obs::TraceSession session{/*detail=*/true};
+  FaultPlan plan{FaultSpec::parse("drop:p=0.3;dup:p=0.2"), 11};
+  CommBody body;
+
+  CommTwin(bool compute, bool channels, bool detail, bool fault_plan)
+      : body(kLocales, channels) {
+    session.set_detail(detail);
+    grid.set_trace_session(&session);
+    grid.enable_comm_matrix();
+    if (fault_plan) grid.set_fault_plan(&plan);
+    const auto dispatch = compute ? &LocaleGrid::coforall_compute
+                                  : &LocaleGrid::coforall_locales;
+    for (int rep = 0; rep < 2; ++rep) {
+      (grid.*dispatch)([this](LocaleCtx& ctx) { body(ctx); });
+    }
+    grid.set_fault_plan(nullptr);
+  }
+
+  std::string state() {
+    return observable_state(grid, session) + "matrix: " +
+           grid.comm_matrix_json() + grid.comm_matrix_csv();
+  }
+};
+
+TEST(CoforallComputeComm, EveryHelperAndChannelMatchesTheSerialLoop) {
+  for (const bool detail : {true, false}) {
+    CommTwin serial(/*compute=*/false, /*channels=*/true, detail, false);
+    CommTwin pooled(/*compute=*/true, /*channels=*/true, detail, false);
+    EXPECT_EQ(pooled.state(), serial.state()) << "detail=" << detail;
+    EXPECT_EQ(pooled.body.got, serial.body.got);
+    EXPECT_EQ(pooled.body.buffered, std::vector<int>(CommTwin::kLocales, 1));
+    // The matrix stays conserved against the registry's totals.
+    const CommStats cs = pooled.grid.comm_stats();
+    EXPECT_EQ(pooled.grid.comm_matrix_total_messages(), cs.messages);
+    EXPECT_EQ(pooled.grid.comm_matrix_total_bytes(), cs.bytes);
+    EXPECT_GT(cs.agg_flushes, 0);
+  }
+}
+
+TEST(CoforallComputeComm, KeysRegisterOnlyWhereABodyUsedThem) {
+  CommTwin serial(/*compute=*/false, /*channels=*/false, true, false);
+  CommTwin pooled(/*compute=*/true, /*channels=*/false, true, false);
+  EXPECT_EQ(pooled.state(), serial.state());
+  // No body built a channel, so the agg.* family was never registered.
+  const std::string json = pooled.grid.metrics().json();
+  EXPECT_EQ(json.find("agg.messages"), std::string::npos);
+  EXPECT_EQ(json.find("path=agg"), std::string::npos);
+  EXPECT_NE(json.find("path=chain"), std::string::npos);
+}
+
+TEST(CoforallComputeComm, FaultPlanRunsTheSerialLoop) {
+  CommTwin serial(/*compute=*/false, /*channels=*/true, true, true);
+  CommTwin pooled(/*compute=*/true, /*channels=*/true, true, true);
+  EXPECT_EQ(pooled.state(), serial.state());
+  // Every delivery drew from the plan's one RNG in the serial order.
+  EXPECT_GT(pooled.plan.decisions(), 0);
+  EXPECT_EQ(pooled.plan.decisions(), serial.plan.decisions());
+  EXPECT_EQ(pooled.body.buffered, std::vector<int>(CommTwin::kLocales, 0));
 }
 
 }  // namespace
