@@ -1,60 +1,37 @@
 #include "gen/rmat.hpp"
 
-#include "util/rng.hpp"
+#include <limits>
+#include <string>
 
 namespace pgb {
 
-Coo<std::int64_t> rmat_coo(const RmatParams& p) {
+void check_rmat_params(const RmatParams& p) {
+  PGB_REQUIRE(p.scale >= 0 && p.scale <= 62,
+              "R-MAT scale must be in [0, 62]; got " +
+                  std::to_string(p.scale));
+  PGB_REQUIRE(p.edge_factor >= 0, "R-MAT edge factor must be >= 0; got " +
+                                      std::to_string(p.edge_factor));
   const Index n = Index{1} << p.scale;
-  const Index m = p.edge_factor * n;
-  Coo<std::int64_t> coo(n, n);
-  coo.reserve(static_cast<std::size_t>(p.symmetric ? 2 * m : m));
-  Xoshiro256 rng(p.seed);
-  for (Index e = 0; e < m; ++e) {
-    Index r = 0, c = 0;
-    for (int level = 0; level < p.scale; ++level) {
-      const double u = rng.next_double();
-      r <<= 1;
-      c <<= 1;
-      if (u < p.a) {
-        // top-left quadrant: nothing to add
-      } else if (u < p.a + p.b) {
-        c |= 1;
-      } else if (u < p.a + p.b + p.c) {
-        r |= 1;
-      } else {
-        r |= 1;
-        c |= 1;
-      }
-    }
-    if (r == c) continue;  // drop self-loops
-    coo.add(r, c, 1);
-    if (p.symmetric) coo.add(c, r, 1);
-  }
-  return coo;
+  PGB_REQUIRE(p.edge_factor <= std::numeric_limits<Index>::max() / 2 / n,
+              "R-MAT edge count 2 * edge_factor * 2^scale overflows 64 "
+              "bits");
+  const auto m = static_cast<std::uint64_t>(p.edge_factor * n);
+  PGB_REQUIRE(p.scale == 0 ||
+                  m <= std::numeric_limits<std::uint64_t>::max() /
+                           static_cast<std::uint64_t>(p.scale),
+              "R-MAT draw count edge_factor * 2^scale * scale overflows 64 "
+              "bits");
+  // Written so that NaN fails every comparison.
+  PGB_REQUIRE(p.a >= 0.0 && p.b >= 0.0 && p.c >= 0.0 &&
+                  p.a + p.b + p.c <= 1.0,
+              "R-MAT corner probabilities a, b, c must be >= 0 with "
+              "a + b + c <= 1");
 }
 
 Csr<std::int64_t> rmat_csr(const RmatParams& p) {
-  // Duplicate edges collapse to a single unit entry.
   return rmat_coo(p).to_csr([](std::int64_t, std::int64_t) {
     return std::int64_t{1};
   });
-}
-
-DistCsr<std::int64_t> rmat_dist(LocaleGrid& grid, const RmatParams& p) {
-  // Route the deduplicated global matrix into blocks so the distributed
-  // matrix matches rmat_csr exactly.
-  Csr<std::int64_t> local = rmat_csr(p);
-  Coo<std::int64_t> coo(local.nrows(), local.ncols());
-  coo.reserve(static_cast<std::size_t>(local.nnz()));
-  for (Index r = 0; r < local.nrows(); ++r) {
-    auto cols = local.row_colids(r);
-    auto vals = local.row_values(r);
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      coo.add(r, cols[k], vals[k]);
-    }
-  }
-  return DistCsr<std::int64_t>::from_coo(grid, coo);
 }
 
 }  // namespace pgb

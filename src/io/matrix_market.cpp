@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -10,6 +11,8 @@
 namespace pgb {
 
 namespace {
+
+constexpr Index kReserveCap = Index{1} << 16;
 
 std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
@@ -65,8 +68,14 @@ Coo<double> read_matrix_market(std::istream& in, MatrixMarketInfo* info) {
                              .pattern = pattern};
   }
 
+  PGB_REQUIRE(!symmetric || entries <= std::numeric_limits<Index>::max() / 2,
+              "matrix market: symmetric entry count overflows");
+
+  // The size line only hints at the length of the entry list: the
+  // reservation is capped, and a longer list grows the array as it reads.
   Coo<double> coo(nrows, ncols);
-  coo.reserve(static_cast<std::size_t>(symmetric ? 2 * entries : entries));
+  coo.reserve(static_cast<std::size_t>(
+      std::min(symmetric ? 2 * entries : entries, kReserveCap)));
   for (Index e = 0; e < entries; ++e) {
     PGB_REQUIRE(next_data_line(in, line),
                 "matrix market: truncated entry list");

@@ -25,13 +25,16 @@ class Csr {
   /// Builds from prepared arrays. colids must be sorted within each row.
   static Csr from_parts(Index nrows, Index ncols, std::vector<Index> rowptr,
                         std::vector<Index> colids, std::vector<T> vals) {
+    PGB_REQUIRE(nrows >= 0 && ncols >= 0, "negative matrix dimension");
     PGB_REQUIRE(rowptr.size() == static_cast<std::size_t>(nrows) + 1,
                 "rowptr length must be nrows+1");
     PGB_REQUIRE(colids.size() == vals.size(), "colids/vals length mismatch");
     PGB_REQUIRE(!rowptr.empty() && rowptr.back() ==
                     static_cast<Index>(colids.size()),
                 "rowptr does not cover all nonzeros");
-    Csr m(nrows, ncols);
+    Csr m;
+    m.nrows_ = nrows;
+    m.ncols_ = ncols;
     m.rowptr_ = std::move(rowptr);
     m.colids_ = std::move(colids);
     m.vals_ = std::move(vals);

@@ -4,7 +4,9 @@
 // SplitMix64 / Xoshiro256** seeded explicitly, so every experiment is
 // reproducible bit-for-bit across runs and platforms, and generation can
 // be sharded per row / per locale without coordination (each shard seeds
-// its own stream from (seed, shard_id)).
+// its own stream from (seed, shard_id)). A generator that draws one
+// stream in order can still be split into chunks: each chunk's copy of
+// the stream jumps to its first draw with Xoshiro256::advance.
 #pragma once
 
 #include <cstdint>
@@ -43,15 +45,17 @@ class Xoshiro256 {
 
   std::uint64_t next() {
     const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
+    step(s_);
     return result;
   }
+
+  /// Skips the next n draws: the stream continues exactly as after n
+  /// calls to next(). The state step is linear over GF(2), so this
+  /// multiplies the state by the powers T^(2^k) of its 256x256 bit matrix
+  /// for the set bits of n: at most 64 matrix-vector products, none of
+  /// the skipped draws. The 64 powers (512 KiB) are built once per
+  /// process, on the first call, in a few milliseconds.
+  void advance(std::uint64_t n);
 
   /// Uniform in [0, bound). Uses Lemire's multiply-shift reduction
   /// (negligible modulo bias for bound << 2^64, fine for workload gen).
@@ -77,6 +81,20 @@ class Xoshiro256 {
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
+
+  struct JumpTable;
+
+  /// The state transition behind every draw.
+  static void step(std::uint64_t (&s)[4]) {
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+  }
+
   std::uint64_t s_[4];
 };
 

@@ -31,6 +31,27 @@ TEST(Rng, XoshiroStreamsDifferByShard) {
   EXPECT_LT(same, 2);
 }
 
+// advance(n) must leave the stream where n calls to next() leave it, for
+// offsets around word boundaries of n and one past a large power of two.
+TEST(Xoshiro256, AdvanceMatchesRepeatedNext) {
+  for (std::uint64_t n : {0ull, 1ull, 63ull, 64ull, (1ull << 20) + 7}) {
+    for (Xoshiro256 seeded : {Xoshiro256(1), Xoshiro256(42, 7)}) {
+      Xoshiro256 stepped = seeded, jumped = seeded;
+      for (std::uint64_t i = 0; i < n; ++i) stepped.next();
+      jumped.advance(n);
+      for (int i = 0; i < 8; ++i) {
+        ASSERT_EQ(jumped.next(), stepped.next()) << "n=" << n << " i=" << i;
+      }
+    }
+  }
+  // Jumps compose: 1000 then 2^40 equals 2^40 + 1000 at once.
+  Xoshiro256 a(9), b(9);
+  a.advance(1000);
+  a.advance(1ull << 40);
+  b.advance((1ull << 40) + 1000);
+  EXPECT_EQ(a.next(), b.next());
+}
+
 TEST(Rng, NextBelowStaysInRange) {
   Xoshiro256 r(123);
   for (int i = 0; i < 10000; ++i) {

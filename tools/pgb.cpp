@@ -113,8 +113,8 @@ int run(int argc, char** argv) {
       cli.get("gen", "rmat", "generator when no --matrix: er | rmat");
   const Index n = cli.get_int("n", 100000, "ER vertices");
   const double d = cli.get_double("d", 8.0, "ER nonzeros per row");
-  const int rmat_scale =
-      static_cast<int>(cli.get_int("rmat-scale", 14, "R-MAT scale"));
+  const std::int64_t rmat_scale =
+      cli.get_int("rmat-scale", 14, "R-MAT scale, in [0, 62]");
   const std::string op = cli.get(
       "op", "bfs", "bfs | bfs-hybrid | cc | pagerank | sssp | mis | spmspv");
   const int nodes = static_cast<int>(cli.get_int("nodes", 4, "locales"));
@@ -183,6 +183,10 @@ int run(int argc, char** argv) {
 
   PGB_REQUIRE(machine == "edison" || machine == "modern",
               "--machine must be edison or modern");
+  // Checked before narrowing, so 2^32 + 8 is not read as 8.
+  PGB_REQUIRE(rmat_scale >= 0 && rmat_scale <= 62,
+              "--rmat-scale must be in [0, 62]; got " +
+                  std::to_string(rmat_scale));
   PGB_REQUIRE(agg_capacity >= 1,
               "--agg-capacity must be a positive element count");
   const RecoveryPolicy policy = parse_recovery_policy(recovery_flag);
@@ -217,16 +221,11 @@ int run(int argc, char** argv) {
                 static_cast<long long>(a.nnz()));
   } else if (gen == "rmat") {
     RmatParams p;
-    p.scale = rmat_scale;
+    p.scale = static_cast<int>(rmat_scale);
     p.seed = seed;
-    auto m = rmat_csr(p);
-    Coo<double> coo(m.nrows(), m.ncols());
-    for (Index r = 0; r < m.nrows(); ++r) {
-      for (Index c : m.row_colids(r)) coo.add(r, c, 1.0);
-    }
-    a = DistCsr<double>::from_coo(grid, coo);
+    a = rmat_dist<double>(grid, p);
     std::printf("generated R-MAT: 2^%d vertices, %lld edges (symmetric)\n",
-                rmat_scale, static_cast<long long>(a.nnz()));
+                p.scale, static_cast<long long>(a.nnz()));
   } else {
     throw InvalidArgument("--gen must be er or rmat");
   }

@@ -192,8 +192,8 @@ int run(int argc, char** argv) {
   const std::string gen = cli.get("gen", "er", "graph generator: er | rmat");
   const Index n = cli.get_int("n", 20000, "ER vertices");
   const double d = cli.get_double("d", 8.0, "ER nonzeros per row");
-  const int rmat_scale =
-      static_cast<int>(cli.get_int("rmat-scale", 14, "R-MAT scale"));
+  const std::int64_t rmat_scale =
+      cli.get_int("rmat-scale", 14, "R-MAT scale, in [0, 62]");
   const int tenants =
       static_cast<int>(cli.get_int("tenants", 3, "number of tenants"));
   const int queries = static_cast<int>(
@@ -299,6 +299,10 @@ int run(int argc, char** argv) {
   PGB_REQUIRE(machine == "edison" || machine == "modern",
               "--machine must be edison or modern");
   PGB_REQUIRE(gen == "er" || gen == "rmat", "--gen must be er or rmat");
+  // Checked before narrowing, so 2^32 + 8 is not read as 8.
+  PGB_REQUIRE(rmat_scale >= 0 && rmat_scale <= 62,
+              "--rmat-scale must be in [0, 62]; got " +
+                  std::to_string(rmat_scale));
   PGB_REQUIRE(tenants >= 1 && tenants <= 64,
               "--tenants must be an integer in [1, 64]");
   PGB_REQUIRE(batch_max >= 1 && batch_max <= 64,
@@ -370,16 +374,11 @@ int run(int argc, char** argv) {
                 static_cast<long long>(n), d, static_cast<long long>(a.nnz()));
   } else {
     RmatParams p;
-    p.scale = rmat_scale;
+    p.scale = static_cast<int>(rmat_scale);
     p.seed = seed;
-    auto m = rmat_csr(p);
-    Coo<double> coo(m.nrows(), m.ncols());
-    for (Index r = 0; r < m.nrows(); ++r) {
-      for (Index c : m.row_colids(r)) coo.add(r, c, 1.0);
-    }
-    a = DistCsr<double>::from_coo(grid, coo);
+    a = rmat_dist<double>(grid, p);
     std::printf("generated R-MAT: 2^%d vertices, %lld edges (symmetric)\n",
-                rmat_scale, static_cast<long long>(a.nnz()));
+                p.scale, static_cast<long long>(a.nnz()));
   }
   std::printf("grid: %dx%d locales, %d threads, machine=%s\n", grid.rows(),
               grid.cols(), threads, machine.c_str());
