@@ -137,17 +137,12 @@ class BlockDist1D {
   Index hi(int p) const { return n_ * (p + 1) / parts_; }
   Index local_size(int p) const { return hi(p) - lo(p); }
 
-  /// The part owning global index i.
+  /// The part owning global index i: the last p with lo(p) <= i, that
+  /// is with n*p < (i+1)*parts.
   int owner(Index i) const {
     PGB_ASSERT(i >= 0 && i < n_, "index out of distributed range");
-    // Initial guess from the proportional formula, then fix up boundary
-    // rounding (the guess is off by at most one).
-    int p = static_cast<int>(
-        static_cast<__int128>(i) * parts_ / (n_ > 0 ? n_ : 1));
-    if (p >= parts_) p = parts_ - 1;
-    while (i < lo(p)) --p;
-    while (i >= hi(p)) ++p;
-    return p;
+    return static_cast<int>(
+        (static_cast<__int128>(i + 1) * parts_ - 1) / n_);
   }
 
   bool operator==(const BlockDist1D& o) const = default;

@@ -3,11 +3,14 @@
 // communication-charging helpers, and the host-parallel compute dispatch
 // against the serial loop.
 #include <gtest/gtest.h>
+
 #include <sched.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -166,6 +169,35 @@ TEST_P(Dist1DParam, OwnerIsConsistentWithBlocks) {
     // With fewer items than parts, leading/trailing blocks may be empty
     // and the boundary items belong to interior parts.
     EXPECT_EQ(d.owner(0), 0);
+    EXPECT_EQ(d.owner(n - 1), parts - 1);
+  }
+}
+
+// owner() is one division: the last part p with n*p < (i+1)*parts.
+// Every index of every small shape, empty parts included, and the part
+// boundaries of the largest shapes whose bounds n*p/parts fit 64 bits
+// must land in the part whose bounds hold them.
+TEST(BlockDist1D, OwnerHoldsEveryIndex) {
+  int wrong = 0;
+  for (Index n = 1; n <= 130; ++n) {
+    for (int parts = 1; parts <= 40; ++parts) {
+      const BlockDist1D d(n, parts);
+      for (Index i = 0; i < n; ++i) {
+        const int p = d.owner(i);
+        wrong += p >= 0 && p < parts && d.lo(p) <= i && i < d.hi(p) ? 0 : 1;
+      }
+    }
+  }
+  EXPECT_EQ(wrong, 0);
+  const Index top = std::numeric_limits<Index>::max();
+  for (const auto& [n, parts] : {std::pair<Index, int>{top / 1024, 1024},
+                                 std::pair<Index, int>{top / 3, 3},
+                                 std::pair<Index, int>{top, 1}}) {
+    const BlockDist1D d(n, parts);
+    for (int p = 0; p < parts; p += std::max(1, parts / 16)) {
+      EXPECT_EQ(d.owner(d.lo(p)), p) << n << "/" << parts;
+      EXPECT_EQ(d.owner(d.hi(p) - 1), p) << n << "/" << parts;
+    }
     EXPECT_EQ(d.owner(n - 1), parts - 1);
   }
 }
