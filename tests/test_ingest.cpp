@@ -5,6 +5,7 @@
 // paths (union-find CC, warm-restart pagerank).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -17,6 +18,7 @@
 #include "algo/connected_components.hpp"
 #include "algo/pagerank.hpp"
 #include "fault/fault.hpp"
+#include "gen/erdos_renyi.hpp"
 #include "ingest/ingest.hpp"
 #include "obs/trace.hpp"
 #include "service/event_log.hpp"
@@ -468,6 +470,142 @@ TEST(IngestStreamTest, CompactionPreservesContentAndTruncatesLogs) {
   EXPECT_EQ(s1.log_bytes(), 0);
   EXPECT_GT(s2.log_bytes(), 0);
   EXPECT_EQ(s1.pending_deltas(), 0);
+}
+
+/// What PinnedPublishEpochs pins of one fault-free run, as FNV values.
+struct PublishPins {
+  std::uint64_t epochs = 0;     ///< every epoch's ingest_graph_hash
+  std::uint64_t time_bits = 0;  ///< grid.time() at the end
+  std::uint64_t stats = 0;      ///< the IngestStats fields
+  std::uint64_t registry = 0;   ///< the registry JSON
+  std::uint64_t events = 0;     ///< the event-log lines
+};
+
+/// 13 apply + publish rounds on an ER graph over a side x side grid. The
+/// first round dirties a handful of blocks, the second deletes present
+/// edges, overwrites one and deletes an absent one; the rest are seeded
+/// mixes, and one round right after the only compaction is small again,
+/// so clean blocks are published both before and after a compaction.
+PublishPins run_publish_pins(int side) {
+  constexpr Index kEr = 2048;
+  constexpr double kDegree = 6.0;
+  constexpr std::uint64_t kSeed = 5;
+  auto grid = LocaleGrid::square(side * side, 4);
+  const auto a = erdos_renyi_dist<double>(grid, kEr, kDegree, kSeed);
+  GraphStore store;
+  const auto h = store.load(std::make_shared<DistCsr<double>>(a));
+  ServiceEventLog elog;
+  IngestOptions opt;
+  opt.compact_every = 250;
+  IngestStream stream(grid, store, h, a, opt, &elog);
+
+  const auto batch = [](std::int64_t seq, std::vector<EdgeDelta> ds) {
+    MutationBatch b;
+    b.seq = seq;
+    b.deltas = std::move(ds);
+    b.stamp();
+    return b;
+  };
+  const auto edge = [](Index r, Index c, double v, DeltaOp op) {
+    EdgeDelta d;
+    d.row = r;
+    d.col = c;
+    d.val = v;
+    d.op = op;
+    return d;
+  };
+  const auto present = [&](Index r) {
+    return er_row_columns(kEr, kDegree, kSeed, r);
+  };
+  const auto absent = [&](Index r) {
+    const auto cols = present(r);
+    Index c = 0;
+    while (std::binary_search(cols.begin(), cols.end(), c)) ++c;
+    return c;
+  };
+
+  std::vector<MutationBatch> rounds;
+  rounds.push_back(batch(1, {edge(3, 5, 0.5, DeltaOp::kInsert),
+                             edge(4, 1900, 0.25, DeltaOp::kInsert),
+                             edge(1500, 7, 0.75, DeltaOp::kInsert)}));
+  std::vector<EdgeDelta> second;
+  for (Index r : {Index{10}, Index{700}, Index{1333}, Index{2047}}) {
+    const auto cols = present(r);
+    EXPECT_GE(cols.size(), 2u) << "row " << r;
+    second.push_back(edge(r, cols.front(), 0.0, DeltaOp::kDelete));
+    second.push_back(edge(r, cols.back(), 0.125, DeltaOp::kInsert));
+  }
+  second.push_back(edge(99, absent(99), 0.0, DeltaOp::kDelete));
+  rounds.push_back(batch(2, std::move(second)));
+  MutationRng rng{71};
+  IngestMix mix;
+  mix.insert = 3;
+  mix.erase = 2;
+  for (std::int64_t s = 3; s <= 13; ++s) {
+    if (s == 8) {
+      rounds.push_back(batch(s, {edge(2000, 2001, 1.0, DeltaOp::kInsert)}));
+    } else {
+      rounds.push_back(make_mutation_batch(rng, kEr, 48, mix, s));
+    }
+  }
+
+  PublishPins out;
+  out.epochs = 1469598103934665603ull;
+  for (const MutationBatch& b : rounds) {
+    stream.apply(b);
+    stream.publish();
+    const std::uint64_t g = ingest_graph_hash(*store.snapshot(h).graph);
+    out.epochs = fnv1a_extend(out.epochs, &g, sizeof(g));
+  }
+  const IngestStats& st = stream.stats();
+  EXPECT_EQ(st.publishes, 13);
+  EXPECT_EQ(st.compactions, 1);
+  const double t = grid.time();
+  std::memcpy(&out.time_bits, &t, sizeof(t));
+  const std::int64_t fields[] = {
+      st.batches,    st.deltas,         st.inserts,        st.deletes,
+      st.publishes,  st.compactions,    st.replays,        st.pages_replayed,
+      st.pages_discarded, st.log_bytes, st.base_bytes};
+  out.stats = fnv1a(fields, sizeof(fields));
+  const std::string reg = grid.metrics().json();
+  out.registry = fnv1a(reg.data(), reg.size());
+  out.events = 1469598103934665603ull;
+  for (const std::string& line : elog.lines()) {
+    out.events = fnv1a_extend(out.events, line.data(), line.size());
+  }
+  return out;
+}
+
+// Fault-free publishes, bit for bit: no other test runs publish outside
+// a fault plan's serial loop with its values pinned. The literals were
+// captured before the publish stages ran on the host pool, and must hold
+// at any thread count; a mismatch prints the new value.
+TEST(IngestStreamTest, PinnedPublishEpochs) {
+  struct Pin {
+    int side;
+    PublishPins want;
+  };
+  const Pin pins[] = {
+      {4,
+       {0x7db528e62116e713ull, 0x3f99eeea0438b9c4ull, 0xe9a3dfe22b0f38c2ull,
+        0xe7a5d4fd86ff09b5ull, 0xfe7bb0356adc47f4ull}},
+      {8,
+       {0x5c0f90aba1ec47cdull, 0x3fb7249ac41daab7ull, 0xf56a0a9d3aafd20full,
+        0x05504e905eedf418ull, 0x9990325e15c5aeccull}},
+  };
+  for (const Pin& p : pins) {
+    const PublishPins got = run_publish_pins(p.side);
+    SCOPED_TRACE(std::to_string(p.side) + "x" + std::to_string(p.side));
+    EXPECT_EQ(got.epochs, p.want.epochs)
+        << "epochs 0x" << std::hex << got.epochs;
+    EXPECT_EQ(got.time_bits, p.want.time_bits)
+        << "time 0x" << std::hex << got.time_bits;
+    EXPECT_EQ(got.stats, p.want.stats) << "stats 0x" << std::hex << got.stats;
+    EXPECT_EQ(got.registry, p.want.registry)
+        << "registry 0x" << std::hex << got.registry;
+    EXPECT_EQ(got.events, p.want.events)
+        << "events 0x" << std::hex << got.events;
+  }
 }
 
 // ---------------------------------------------------------------------
