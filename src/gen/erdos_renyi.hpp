@@ -55,7 +55,7 @@ template <typename T>
 DistCsr<T> erdos_renyi_dist(LocaleGrid& grid, Index n, double d,
                             std::uint64_t seed) {
   check_er_degree(d);
-  DistCsr<T> m(grid, n, n);
+  auto m = DistCsr<T>::shell(grid, n, n);
   HostPool::instance().run(grid.num_locales(), [&](int l) {
     auto& b = m.block(l);
     std::vector<Index> rowptr(static_cast<std::size_t>(b.rhi - b.rlo) + 1, 0);

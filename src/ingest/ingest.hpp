@@ -19,6 +19,11 @@
 //            entries, the published matrix becomes the new base: logs
 //            truncate and the base re-replicates to the buddies.
 //
+// Fold and materialize are LocaleGrid::coforall_compute bodies, which
+// run on the host thread pool, and base replication serializes and
+// checksums its blocks there too; every clock, counter, trace event and
+// graph hash is the serial loop's, at any thread count.
+//
 // Every stage (apply, each publish stage, compaction) is idempotent and
 // runs as a stateless one-round loop under the resilient driver
 // (fault/recovery.hpp) in degraded mode. A locale kill inside a stage
@@ -48,6 +53,7 @@
 #include "ingest/delta_log.hpp"
 #include "obs/span.hpp"
 #include "runtime/aggregator.hpp"
+#include "runtime/host_pool.hpp"
 #include "runtime/locale_grid.hpp"
 #include "service/event_log.hpp"
 #include "service/handle.hpp"
@@ -58,7 +64,7 @@ namespace pgb {
 
 /// Serializes one CSR block to bytes (the base-replica wire format):
 /// [nrows][ncols][nnz][rowptr][colids][vals], all host-layout int64 /
-/// double.
+/// double. Appends serialized_csr_bytes(m) bytes to `out`.
 inline void serialize_csr(const Csr<double>& m,
                           std::vector<unsigned char>* out) {
   const auto put = [out](const void* p, std::size_t n) {
@@ -72,6 +78,12 @@ inline void serialize_csr(const Csr<double>& m,
   put(m.rowptr().data(), m.rowptr().size() * sizeof(Index));
   put(m.colids().data(), m.colids().size() * sizeof(Index));
   put(m.values().data(), m.values().size() * sizeof(double));
+}
+
+inline std::size_t serialized_csr_bytes(const Csr<double>& m) {
+  return 3 * sizeof(Index) + m.rowptr().size() * sizeof(Index) +
+         m.colids().size() * sizeof(Index) +
+         m.values().size() * sizeof(double);
 }
 
 inline Csr<double> deserialize_csr(const unsigned char* p, std::size_t n) {
@@ -208,19 +220,24 @@ class IngestStream {
 
   /// Atomic epoch publish: folds the acked-but-unapplied pages into the
   /// per-block overlays, materializes base + overlay into a fresh
-  /// DistCsr (clean blocks copied whole; in a dirty block each run of
-  /// clean rows is block-copied and only dirty rows merge), and installs
-  /// it under the handle. Snapshots taken before the publish keep the
-  /// prior version — readers never observe a torn batch. Compacts once
-  /// the pending overlay crosses the threshold.
+  /// DistCsr (in a dirty block each run of clean rows is block-copied
+  /// and only dirty rows merge; a clean block is one run), and installs
+  /// it under the handle. Fold and materialize are coforall_compute
+  /// bodies, so the locales run them at once on the host pool; every new
+  /// block's arrays are reserved on the calling thread first, so the
+  /// epoch lives in its malloc arena rather than in each pool thread's.
+  /// Snapshots taken before the publish keep the prior version — readers
+  /// never observe a torn batch. Compacts once the pending overlay
+  /// crosses the threshold.
   std::uint64_t publish() {
     PGB_TRACE_SPAN(grid_, "ingest.publish",
                    {{"seq", std::to_string(acked_seq_)}});
+    const int n = grid_.num_locales();
     // Every stage below is individually idempotent (folds are last-write-
     // wins over already-identical prefixes; materialize overwrites), so a
     // kill inside any of them recovers and re-runs just that stage.
     run_stage([&] {
-      grid_.coforall_locales([&](LocaleCtx& ctx) {
+      grid_.coforall_compute([&](LocaleCtx& ctx) {
         const int l = ctx.locale();
         std::int64_t folded = 0;
         for (const DeltaLogPage& p :
@@ -241,29 +258,35 @@ class IngestStream {
     });
     applied_seq_ = acked_seq_;
 
-    auto g = std::make_shared<DistCsr<double>>(grid_, base_.nrows(),
-                                               base_.ncols());
-    std::int64_t pending = 0;
+    auto g = std::make_shared<DistCsr<double>>(
+        DistCsr<double>::shell(grid_, base_.nrows(), base_.ncols()));
     run_stage([&] {
-      pending = 0;  // a retried stage recounts from scratch
-      grid_.coforall_locales([&](LocaleCtx& ctx) {
+      std::vector<BlockArrays> arrays(static_cast<std::size_t>(n));
+      for (int l = 0; l < n; ++l) {
+        const auto& ov = overlays_[static_cast<std::size_t>(l)];
+        auto& a = arrays[static_cast<std::size_t>(l)];
+        a.rowptr.reserve(base_.block(l).csr.rowptr().size());
+        a.colids.reserve(ov.max_nnz());
+        a.vals.reserve(ov.max_nnz());
+      }
+      grid_.coforall_compute([&](LocaleCtx& ctx) {
         const int l = ctx.locale();
-        auto& ov = overlays_[static_cast<std::size_t>(l)];
-        pending += ov.pending();
+        const auto& ov = overlays_[static_cast<std::size_t>(l)];
+        auto& a = arrays[static_cast<std::size_t>(l)];
         std::int64_t touched = 0;
-        if (ov.pending() == 0) {
-          // Clean block: modeled as sharing the base bytes, so nothing
-          // is charged; the host deep-copies it.
-          g->block(l).csr = base_.block(l).csr;
-        } else {
-          g->block(l).csr = ov.materialize(&touched);
-          CostVector c;
-          c.add(CostKind::kStreamBytes, 16.0 * static_cast<double>(touched));
-          c.add(CostKind::kCpuOps, 8.0 * static_cast<double>(touched));
-          ctx.parallel_region(c);
-        }
+        g->block(l).csr = ov.materialize(std::move(a.rowptr),
+                                         std::move(a.colids),
+                                         std::move(a.vals), &touched);
+        // A clean block is modeled as sharing the base bytes, so nothing
+        // is charged; the host copies it.
+        if (ov.pending() == 0) return;
+        CostVector c;
+        c.add(CostKind::kStreamBytes, 16.0 * static_cast<double>(touched));
+        c.add(CostKind::kCpuOps, 8.0 * static_cast<double>(touched));
+        ctx.parallel_region(c);
       });
     });
+    const std::int64_t pending = pending_deltas();
     const std::uint64_t epoch = store_.publish(h_, g);
     ++stats_.publishes;
     grid_.metrics().counter("ingest.publishes").inc();
@@ -316,6 +339,13 @@ class IngestStream {
   }
 
  private:
+  /// One block's arrays, reserved before the materialize dispatch.
+  struct BlockArrays {
+    std::vector<Index> rowptr;
+    std::vector<Index> colids;
+    std::vector<double> vals;
+  };
+
   /// A delta tagged with its index in the batch: owners re-sort by it,
   /// so within-batch application order is the global batch order no
   /// matter how routing interleaved the shards.
@@ -347,15 +377,26 @@ class IngestStream {
     run_resilient(grid_, grid_.fault_plan(), stage, opt);
   }
 
+  /// Serializes and checksums every base block on the host pool (no
+  /// simulated time), each into a buffer reserved here at its exact
+  /// size, then reships the changed blocks to their buddies.
   void replicate_base() {
     const int n = grid_.num_locales();
+    std::vector<CheckpointBlock> fresh(static_cast<std::size_t>(n));
+    for (int l = 0; l < n; ++l) {
+      auto& blk = fresh[static_cast<std::size_t>(l)];
+      blk.locale = l;
+      blk.bytes.reserve(serialized_csr_bytes(base_.block(l).csr));
+    }
+    HostPool::instance().run(n, [&](int l) {
+      auto& blk = fresh[static_cast<std::size_t>(l)];
+      serialize_csr(base_.block(l).csr, &blk.bytes);
+      blk.stamp();
+    });
     std::int64_t shipped = 0;
     std::vector<std::int64_t> ship(static_cast<std::size_t>(n), 0);
     for (int l = 0; l < n; ++l) {
-      std::vector<unsigned char> bytes;
-      serialize_csr(base_.block(l).csr, &bytes);
-      CheckpointBlock blk{l, std::move(bytes), 0};
-      blk.stamp();
+      CheckpointBlock& blk = fresh[static_cast<std::size_t>(l)];
       auto& cur = base_mirror_[static_cast<std::size_t>(l)];
       if (cur.bytes.empty() || cur.checksum != blk.checksum) {
         // Dirty block (first replication, or changed by compaction):

@@ -64,22 +64,32 @@ class CsrOverlay {
   /// Also returns via `touched` (nullable) the modeled read-through cost
   /// of the merge: each dirty row's base entries plus its deltas.
   Csr<T> materialize(std::int64_t* touched = nullptr) const {
+    return materialize({}, {}, {}, touched);
+  }
+
+  /// materialize() into the given empty arrays. Reserving them first,
+  /// rowptr to nrows + 1 and colids/vals to max_nnz(), decides where
+  /// the block lives: the fill then allocates nothing.
+  Csr<T> materialize(std::vector<Index> rowptr, std::vector<Index> colids,
+                     std::vector<T> vals,
+                     std::int64_t* touched = nullptr) const {
+    PGB_ASSERT(rowptr.empty() && colids.empty() && vals.empty(),
+               "overlay: materialize fills empty arrays");
     const Index nr = base_->nrows();
     const auto bp = base_->rowptr();
     const auto bc = base_->colids();
     const auto bv = base_->values();
-    std::vector<Index> rowptr(static_cast<std::size_t>(nr) + 1, 0);
-    std::vector<Index> colids;
-    std::vector<T> vals;
-    colids.reserve(bc.size() + static_cast<std::size_t>(pending_));
-    vals.reserve(bc.size() + static_cast<std::size_t>(pending_));
+    rowptr.reserve(static_cast<std::size_t>(nr) + 1);
+    colids.reserve(max_nnz());
+    vals.reserve(max_nnz());
+    rowptr.push_back(0);
     Index next = 0;  // first row not yet written
     const auto copy_clean = [&](Index end) {  // rows [next, end)
       const Index shift = static_cast<Index>(colids.size()) - bp[next];
       colids.insert(colids.end(), bc.begin() + bp[next],
                     bc.begin() + bp[end]);
       vals.insert(vals.end(), bv.begin() + bp[next], bv.begin() + bp[end]);
-      for (Index r = next + 1; r <= end; ++r) rowptr[r] = bp[r] + shift;
+      for (Index r = next + 1; r <= end; ++r) rowptr.push_back(bp[r] + shift);
     };
     const auto emit = [&](Index c, const T& v) {
       colids.push_back(c);
@@ -97,13 +107,19 @@ class CsrOverlay {
         if (x.alive) emit(x.col, x.val);
       }
       for (; k < end; ++k) emit(bc[k], bv[k]);
-      rowptr[d.row + 1] = static_cast<Index>(colids.size());
+      rowptr.push_back(static_cast<Index>(colids.size()));
       next = d.row + 1;
     }
     copy_clean(nr);
     if (touched != nullptr) *touched = scanned;
     return Csr<T>::from_parts(nr, base_->ncols(), std::move(rowptr),
                               std::move(colids), std::move(vals));
+  }
+
+  /// An upper bound on the materialized block's entries: each pending
+  /// delta adds at most one to the base's.
+  std::size_t max_nnz() const {
+    return static_cast<std::size_t>(base_->nnz() + pending_);
   }
 
  private:
