@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
@@ -126,6 +128,10 @@ class BlockDist1D {
   BlockDist1D(Index n, int parts) : n_(n), parts_(parts) {
     PGB_REQUIRE(n >= 0, "negative domain size");
     PGB_REQUIRE(parts >= 1, "need at least one part");
+    // lo() and hi() compute n * p for p up to parts.
+    PGB_REQUIRE(n <= std::numeric_limits<Index>::max() / parts,
+                "domain of " + std::to_string(n) + " indices over " +
+                    std::to_string(parts) + " parts overflows its bounds");
   }
 
   Index n() const { return n_; }

@@ -202,6 +202,21 @@ TEST(BlockDist1D, OwnerHoldsEveryIndex) {
   }
 }
 
+// lo() and hi() compute n * p in 64 bits, so a shape whose n * parts
+// passes INT64_MAX is rejected up front; the largest accepted one
+// builds, and its bounds and owner agree on the last index.
+TEST(BlockDist1D, RejectsShapesWhoseBoundsOverflow) {
+  const Index top = std::numeric_limits<Index>::max();
+  EXPECT_THROW(BlockDist1D(top, 1024), InvalidArgument);
+  EXPECT_THROW(BlockDist1D(top / 1024 + 1, 1024), InvalidArgument);
+  const Index n = top / 1024;
+  const BlockDist1D d(n, 1024);
+  EXPECT_EQ(d.hi(1023), n);
+  EXPECT_LE(d.lo(1023), n - 1);
+  EXPECT_EQ(d.owner(n - 1), 1023);
+  EXPECT_NO_THROW(BlockDist1D(top, 1));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, Dist1DParam,
     ::testing::Values(std::pair<Index, int>{100, 1},
