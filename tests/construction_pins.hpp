@@ -1,10 +1,11 @@
-// Inputs and hashes shared by the CSR-construction pin tests
+// Inputs and hashes shared by the construction pin tests
 // (Coo.ToCsrPinned in test_sparse, DistCsr.FromCooPinnedBlocks in
-// test_dist_containers): an R-MAT edge list and an unsorted,
-// duplicate-heavy COO folded with a non-commutative combine, on a
-// non-square shape that leaves some blocks of every tested grid empty.
-// The literals those tests hold were captured from the sort-based
-// builder; any CSR builder must reproduce them byte for byte.
+// test_dist_containers, ErdosRenyi.PinnedBlocks in test_gen): an R-MAT
+// edge list and an unsorted, duplicate-heavy COO folded with a
+// non-commutative combine, on a non-square shape that leaves some blocks
+// of every tested grid empty, and FNV-1a over CSR and block bytes. The
+// literals those tests hold were captured from the builders they
+// replaced; any builder must reproduce them byte for byte.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include "runtime/locale_grid.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/dist_csr.hpp"
 #include "util/rng.hpp"
 
 namespace pgb::pins {
@@ -35,6 +37,18 @@ std::uint64_t csr_hash(std::uint64_t h, const Csr<T>& m) {
   h = fnv(h, m.rowptr().data(), m.rowptr().size_bytes());
   h = fnv(h, m.colids().data(), m.colids().size_bytes());
   return fnv(h, m.values().data(), m.values().size_bytes());
+}
+
+/// Every block's bounds and CSR bytes, in locale order.
+template <typename T>
+std::uint64_t blocks_hash(std::uint64_t h, const DistCsr<T>& m) {
+  for (int l = 0; l < m.grid().num_locales(); ++l) {
+    const auto& b = m.block(l);
+    const Index bounds[4] = {b.rlo, b.rhi, b.clo, b.chi};
+    h = fnv(h, bounds, sizeof bounds);
+    h = csr_hash(h, b.csr);
+  }
+  return h;
 }
 
 /// Folds duplicates so that both the order and the grouping of the fold

@@ -144,14 +144,7 @@ TEST(DistCsr, FromCooRoutesTriples) {
 // must leave every literal as it is; a mismatch prints the new value.
 template <typename T>
 std::uint64_t blocks_hash(const DistCsr<T>& m) {
-  std::uint64_t h = pins::kFnvBasis;
-  for (int l = 0; l < m.grid().num_locales(); ++l) {
-    const auto& b = m.block(l);
-    const Index bounds[4] = {b.rlo, b.rhi, b.clo, b.chi};
-    h = pins::fnv(h, bounds, sizeof bounds);
-    h = pins::csr_hash(h, b.csr);
-  }
-  return h;
+  return pins::blocks_hash(pins::kFnvBasis, m);
 }
 
 // from_coo routes triples in chunks of at least 2^15. With 100000

@@ -7,6 +7,7 @@
 #include <limits>
 #include <set>
 
+#include "construction_pins.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/random_vec.hpp"
 #include "gen/rmat.hpp"
@@ -94,13 +95,71 @@ TEST(ErdosRenyi, DistStructureEqualsLocalAcrossGrids) {
     auto grid = LocaleGrid::square(nloc, 1);
     auto dist = erdos_renyi_dist<int>(grid, 300, 4.0, 9);
     EXPECT_EQ(dist.nnz(), local.nnz()) << nloc << " locales";
-    auto gathered = dist.to_local();
-    for (Index r = 0; r < 300; ++r) {
-      auto a = gathered.row_colids(r);
-      auto b = local.row_colids(r);
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t k = 0; k < a.size(); ++k) EXPECT_EQ(a[k], b[k]);
+    EXPECT_TRUE(dist.check_invariants()) << nloc << " locales";
+    const auto gathered = dist.to_local();
+    EXPECT_TRUE(std::ranges::equal(gathered.rowptr(), local.rowptr()))
+        << nloc << " locales";
+    EXPECT_TRUE(std::ranges::equal(gathered.colids(), local.colids()))
+        << nloc << " locales";
+    EXPECT_TRUE(std::ranges::equal(gathered.values(), local.values()))
+        << nloc << " locales";
+  }
+}
+
+// FNV-1a of every block (bounds, shape, rowptr, colids, values) of
+// erdos_renyi_dist for n = 1003, three degrees and two seeds each, on
+// grids with one processor row or one block, uneven and non-square
+// ones, and blocks of about 31 x 31; and of erdos_renyi_csr's bytes.
+// Captured from the generator that redrew every row in each column
+// block; a change to how rows are drawn or split into blocks must leave
+// every literal as it is, at any thread count. A mismatch prints the
+// new value.
+TEST(ErdosRenyi, PinnedBlocks) {
+  constexpr Index kN = 1003;
+  const double degrees[3] = {0.0, 3.5, 16.0};
+  const std::uint64_t seeds[2] = {9, 2024};
+  struct Shape {
+    int rows, cols;
+    std::uint64_t hash[3];  // per degree, over both seeds
+  };
+  const Shape shapes[] = {
+      {1, 1, {0xec5aa0c38c01e575ull, 0xe276f0030a6d7958ull,
+             0xa61f632222bbdddeull}},
+      {1, 3, {0x7777c7290e87f125ull, 0xfc8cc26fd35ee549ull,
+             0x74f45a4e404854feull}},
+      {2, 2, {0x6c4ed28722098bdull, 0xa4a1bc4b50f4c45cull,
+             0x2b2f67836f7f7fd4ull}},
+      {2, 8, {0x2e160d5e236f9435ull, 0x8f5a8db06f27392bull,
+             0xc4a1fe5ed18246cull}},
+      {3, 5, {0xc06464b09c8aa1bdull, 0x6d8fb36036f42d1cull,
+             0xd2a002a53c121483ull}},
+      {8, 8, {0xa7a93344bb0406fdull, 0xf9004dab28bb609eull,
+             0x932b573b03a7314dull}},
+      {32, 32, {0x4d17886e667a751dull, 0x22fe22cf0a85a36dull,
+               0x5322d1eed92e4fd6ull}},
+  };
+  for (const auto& s : shapes) {
+    auto grid = pins::grid_of(s.rows, s.cols);
+    for (int k = 0; k < 3; ++k) {
+      std::uint64_t h = pins::kFnvBasis;
+      for (const std::uint64_t seed : seeds) {
+        const auto m = erdos_renyi_dist<double>(grid, kN, degrees[k], seed);
+        h = pins::blocks_hash(h, m);
+      }
+      EXPECT_EQ(h, s.hash[k]) << s.rows << "x" << s.cols
+                              << " d=" << degrees[k] << ": 0x" << std::hex
+                              << h;
     }
+  }
+  const std::uint64_t local[3] = {0xec67bc2c88279d9dull, 0xbf2849eb16f8c58ull,
+                                  0x5a3fc4a683294feeull};
+  for (int k = 0; k < 3; ++k) {
+    std::uint64_t h = pins::kFnvBasis;
+    for (const std::uint64_t seed : seeds) {
+      h = pins::csr_hash(h, erdos_renyi_csr<double>(kN, degrees[k], seed));
+    }
+    EXPECT_EQ(h, local[k]) << "csr d=" << degrees[k] << ": 0x" << std::hex
+                           << h;
   }
 }
 
