@@ -86,7 +86,7 @@ DistCsr<T> ewise_mult_matrix(const DistCsr<T>& a, const DistCsr<T>& b,
                              Op op) {
   detail::require_same_shape(a, b, "ewise_mult_matrix");
   auto& grid = a.grid();
-  DistCsr<T> c(grid, a.nrows(), a.ncols());
+  auto c = DistCsr<T>::shell(grid, a.nrows(), a.ncols());
   grid.coforall_locales([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
     c.block(l).csr = detail::merge_rows<T, Op, /*kUnion=*/false>(
@@ -104,7 +104,7 @@ DistCsr<T> ewise_add_matrix(const DistCsr<T>& a, const DistCsr<T>& b,
                             Op op) {
   detail::require_same_shape(a, b, "ewise_add_matrix");
   auto& grid = a.grid();
-  DistCsr<T> c(grid, a.nrows(), a.ncols());
+  auto c = DistCsr<T>::shell(grid, a.nrows(), a.ncols());
   grid.coforall_locales([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
     c.block(l).csr = detail::merge_rows<T, Op, /*kUnion=*/true>(
@@ -145,7 +145,7 @@ DistCsr<T> extract_submatrix(const DistCsr<T>& a, Index rlo, Index rhi,
   PGB_REQUIRE(clo >= 0 && chi <= a.ncols() && clo <= chi,
               "extract_submatrix: bad column range");
   auto& grid = a.grid();
-  DistCsr<T> z(grid, a.nrows(), a.ncols());
+  auto z = DistCsr<T>::shell(grid, a.nrows(), a.ncols());
   grid.coforall_locales([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
     const auto& blk = a.block(l);

@@ -32,7 +32,7 @@ DistCsr<T> mxm_dist(const DistCsr<T>& a, const DistCsr<T>& b,
               "mxm_dist requires a square locale grid (SUMMA)");
   const int p = grid.rows();
 
-  DistCsr<T> c(grid, a.nrows(), b.ncols());
+  auto c = DistCsr<T>::shell(grid, a.nrows(), b.ncols());
   // Accumulate each locale's C block as triples across stages; combined
   // into CSR at the end (cheaper than per-stage CSR additions).
   std::vector<Coo<T>> acc;

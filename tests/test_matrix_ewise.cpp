@@ -117,6 +117,49 @@ TEST(MatrixEwise, MismatchThrows) {
   EXPECT_THROW(extract_submatrix(a, 0, 11, 0, 5), InvalidArgument);
 }
 
+// The element-wise kernels, extract_submatrix and mxm_dist start their
+// result from DistCsr::shell and fill every block in one coforall. Each
+// block must come out (rhi - rlo) x ncols and valid, on grids that split
+// n unevenly and where whole blocks are empty. A kill throws out of the
+// kernel, so no matrix with unfilled blocks is ever returned.
+TEST(MatrixEwise, ResultBlocksHaveFullShape) {
+  const Index n = 23;  // divisible by neither 2 nor 3
+  const auto expect_full = [](const DistCsr<double>& m, const char* what) {
+    EXPECT_TRUE(m.check_invariants()) << what;
+    for (int l = 0; l < m.grid().num_locales(); ++l) {
+      const auto& b = m.block(l);
+      EXPECT_EQ(b.csr.nrows(), b.rhi - b.rlo) << what << " block " << l;
+      EXPECT_EQ(b.csr.ncols(), m.ncols()) << what << " block " << l;
+      EXPECT_EQ(b.csr.rowptr().size(),
+                static_cast<std::size_t>(b.rhi - b.rlo) + 1)
+          << what << " block " << l;
+    }
+  };
+  LocaleGrid grid(GridConfig{.rows = 2, .cols = 3});
+  const auto a = erdos_renyi_dist<double>(grid, n, 3.0, 1);
+  const auto b = erdos_renyi_dist<double>(grid, n, 3.0, 2);
+  expect_full(ewise_mult_matrix(a, b, PlusOp{}), "mult");
+  expect_full(ewise_add_matrix(a, b, PlusOp{}), "add");
+  expect_full(extract_submatrix(a, 3, 17, 2, 20), "extract");
+  expect_full(extract_submatrix(a, 5, 5, 0, 0), "empty extract");
+  // SUMMA needs a square grid.
+  LocaleGrid square(GridConfig{.rows = 3, .cols = 3});
+  const auto sa = erdos_renyi_dist<double>(square, n, 3.0, 3);
+  const auto sb = erdos_renyi_dist<double>(square, n, 3.0, 4);
+  expect_full(mxm_dist(sa, sb, arithmetic_semiring<double>()), "mxm");
+
+  FaultPlan kill(FaultSpec::parse("kill:locale=4,at=0"), 1);
+  grid.set_fault_plan(&kill);
+  EXPECT_THROW(ewise_mult_matrix(a, b, PlusOp{}), LocaleFailed);
+  EXPECT_THROW(ewise_add_matrix(a, b, PlusOp{}), LocaleFailed);
+  EXPECT_THROW(extract_submatrix(a, 3, 17, 2, 20), LocaleFailed);
+  grid.set_fault_plan(nullptr);
+  square.set_fault_plan(&kill);
+  EXPECT_THROW(mxm_dist(sa, sb, arithmetic_semiring<double>()),
+               LocaleFailed);
+  square.set_fault_plan(nullptr);
+}
+
 class SummaGrids : public ::testing::TestWithParam<int> {};
 
 TEST_P(SummaGrids, MatchesLocalGustavson) {
