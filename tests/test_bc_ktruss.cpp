@@ -169,7 +169,9 @@ TEST(Ktruss, PendantTriangleDecomposition) {
   EXPECT_EQ(t4.edges, 12);  // only the K4 survives
   for (Index r = 0; r < 4; ++r) {
     for (Index c = 0; c < 4; ++c) {
-      if (r != c) EXPECT_NE(t4.truss.find(r, c), nullptr);
+      if (r != c) {
+        EXPECT_NE(t4.truss.find(r, c), nullptr);
+      }
     }
   }
   EXPECT_EQ(t4.truss.find(4, 5), nullptr);

@@ -151,7 +151,9 @@ TEST_P(Dist1DParam, BlocksPartitionTheRange) {
   for (int p = 0; p < parts; ++p) {
     EXPECT_EQ(d.hi(p) - d.lo(p), d.local_size(p));
     covered += d.local_size(p);
-    if (p > 0) EXPECT_EQ(d.lo(p), d.hi(p - 1));
+    if (p > 0) {
+      EXPECT_EQ(d.lo(p), d.hi(p - 1));
+    }
   }
   EXPECT_EQ(covered, n);
 }

@@ -34,8 +34,8 @@
 // Examples:
 //   pgb_serve --nodes=64 --tenants=3 --queries=48 --batch-max=16
 //   pgb_serve --deadline-ms=5 --quota=200 --breaker-k=4 --retry-max=3
-//   pgb_serve --mix=bfs:4,sssp:2 --faults=kill:locale=3,at=0.002 \
-//             --recovery=degraded --replica=buddy
+//   pgb_serve --mix=bfs:4,sssp:2 --recovery=degraded --replica=buddy
+//             --faults=kill:locale=3,at=0.002   (one command)
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
