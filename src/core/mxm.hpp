@@ -26,6 +26,7 @@ Csr<T> mxm_local(LocaleCtx& ctx, const Csr<T>& a, const Csr<T>& b,
   std::vector<Index> colids;
   std::vector<T> vals;
   Spa<T> spa(0, nc);
+  std::vector<Index> touched;  // the row's columns, in first-touch order
   double flops = 0.0;
 
   for (Index i = 0; i < nr; ++i) {
@@ -36,19 +37,22 @@ Csr<T> mxm_local(LocaleCtx& ctx, const Csr<T>& a, const Csr<T>& b,
       auto bcols = b.row_colids(k);
       auto bvals = b.row_values(k);
       for (std::size_t kb = 0; kb < bcols.size(); ++kb) {
-        spa.accumulate(bcols[kb], sr.multiply(avals[ka], bvals[kb]), sr.add);
+        if (spa.accumulate(bcols[kb], sr.multiply(avals[ka], bvals[kb]),
+                           sr.add)) {
+          touched.push_back(bcols[kb]);
+        }
       }
       flops += static_cast<double>(bcols.size());
     }
-    std::vector<Index>& nz = spa.nzinds();
-    merge_sort(nz);
-    for (Index j : nz) {
+    merge_sort(touched);
+    for (Index j : touched) {
       colids.push_back(j);
       vals.push_back(spa.value(j));
     }
     rowptr[static_cast<std::size_t>(i) + 1] =
         static_cast<Index>(colids.size());
-    spa.reset();
+    spa.reset(touched);
+    touched.clear();
   }
 
   CostVector c;

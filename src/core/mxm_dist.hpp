@@ -62,6 +62,7 @@ DistCsr<T> mxm_dist(const DistCsr<T>& a, const DistCsr<T>& b,
       // referenced rows of B(s,j) through a SPA. A's colids are global
       // within [ablk.clo, ablk.chi) = B(s,j)'s global row range.
       Spa<T> spa(bblk.clo, bblk.chi);
+      std::vector<Index> touched;  // the row's columns, first touch first
       double flops = 0.0;
       auto& out = acc[l];
       for (Index lr = 0; lr < ablk.csr.nrows(); ++lr) {
@@ -72,15 +73,18 @@ DistCsr<T> mxm_dist(const DistCsr<T>& a, const DistCsr<T>& b,
           auto bcols = bblk.csr.row_colids(bl_row);
           auto bvals = bblk.csr.row_values(bl_row);
           for (std::size_t kb = 0; kb < bcols.size(); ++kb) {
-            spa.accumulate(bcols[kb], sr.multiply(avals[ka], bvals[kb]),
-                           sr.add);
+            if (spa.accumulate(bcols[kb],
+                               sr.multiply(avals[ka], bvals[kb]), sr.add)) {
+              touched.push_back(bcols[kb]);
+            }
           }
           flops += static_cast<double>(bcols.size());
         }
-        for (Index col : spa.nzinds()) {
+        for (Index col : touched) {
           out.add(lr, col, spa.value(col));
         }
-        spa.reset();
+        spa.reset(touched);
+        touched.clear();
       }
       CostVector cost;
       cost.add(CostKind::kStreamBytes, 16.0 * flops);

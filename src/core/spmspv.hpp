@@ -3,7 +3,8 @@
 //
 // Shared memory (spmspv_shm): the SPA algorithm of Gilbert-Moler-Schreiber:
 //   1. SPA:    for every nonzero x[r], merge row A[r,:] into the sparse
-//              accumulator (dense values + isthere flags + nzinds list);
+//              accumulator (dense values + isthere flags + touched count),
+//              walking the row as a flat range of the block's arrays;
 //   2. Sort:   sort the accumulated output indices (Chapel merge sort by
 //              default — the step the paper finds dominant — or the radix
 //              sort it suggests as future work). This step is charged,
@@ -234,17 +235,20 @@ SparseVec<T> spmspv_shm(LocaleCtx& ctx, const Csr<TA>& a, Index row_lo,
   double t0 = ctx.clock().now();
   Spa<T> spa(col_lo, col_hi);
   Index visited = 0;
+  const Index* rowptr = a.rowptr().data();
+  const Index* colids = a.colids().data();
+  const TA* avals = a.values().data();
   for (Index p = 0; p < x.nnz(); ++p) {
     const Index r = x.index_at(p) - row_lo;
     PGB_ASSERT(r >= 0 && r < a.nrows(), "spmspv: x index out of row range");
-    const T& xv = x.value_at(p);
-    auto cols = a.row_colids(r);
-    auto vals = a.row_values(r);
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      spa.accumulate(cols[k], sr.multiply(xv, static_cast<T>(vals[k])),
+    const T xv = x.value_at(p);
+    const Index begin = rowptr[r];
+    const Index end = rowptr[r + 1];
+    for (Index k = begin; k < end; ++k) {
+      spa.accumulate(colids[k], sr.multiply(xv, static_cast<T>(avals[k])),
                      sr.add);
     }
-    visited += static_cast<Index>(cols.size());
+    visited += end - begin;
   }
   const Index out_nnz = spa.nnz();
   {

@@ -9,6 +9,7 @@
 #include <ios>
 #include <map>
 #include <random>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -245,15 +246,43 @@ TEST(Spa, SetIfAbsentKeepsFirst) {
 TEST(Spa, ResetOnlyClearsTouched) {
   Spa<int> spa(0, 100);
   auto add = [](int a, int b) { return a + b; };
-  spa.accumulate(7, 1, add);
-  spa.accumulate(42, 1, add);
-  spa.reset();
+  std::set<Index> touched;
+  for (Index i : {7, 42, 7, 99}) {
+    if (spa.accumulate(i, 1, add)) touched.insert(i);
+  }
+  const std::vector<Index> list(touched.begin(), touched.end());
+  spa.reset(list);
   EXPECT_EQ(spa.nnz(), 0);
-  EXPECT_FALSE(spa.has(7));
-  EXPECT_FALSE(spa.has(42));
-  // Reusable after reset.
-  spa.accumulate(7, 5, add);
+  for (Index i = 0; i < 100; ++i) EXPECT_FALSE(spa.has(i)) << i;
+  // Reusable after reset: the next touch is a first touch again.
+  EXPECT_TRUE(spa.accumulate(7, 5, add));
   EXPECT_EQ(spa.value(7), 5);
+  EXPECT_EQ(spa.nnz(), 1);
+}
+
+// accumulate() reports each index's first touch exactly once, nnz()
+// counts distinct indices across repeats, and values combine in push
+// order (the add is not commutative, so order shows).
+TEST(Spa, AccumulateReportsFirstTouch) {
+  Spa<std::int64_t> spa(100, 164);
+  auto add = [](std::int64_t a, std::int64_t b) {
+    return (a * 31 + b) % 1000003;
+  };
+  std::set<Index> seen;
+  std::map<Index, std::int64_t> model;
+  std::mt19937_64 rng(23);
+  for (int k = 0; k < 400; ++k) {
+    const Index i = 100 + static_cast<Index>(rng() % 64);
+    const std::int64_t v = static_cast<std::int64_t>(rng() % 1000);
+    const bool fresh = seen.insert(i).second;
+    EXPECT_EQ(spa.accumulate(i, v, add), fresh) << "push " << k;
+    model[i] = fresh ? v : add(model[i], v);
+    EXPECT_EQ(spa.nnz(), static_cast<Index>(seen.size()));
+  }
+  for (const auto& [i, v] : model) {
+    EXPECT_TRUE(spa.has(i));
+    EXPECT_EQ(spa.value(i), v) << i;
+  }
 }
 
 TEST(Spa, RejectsInvertedRange) {
@@ -261,11 +290,10 @@ TEST(Spa, RejectsInvertedRange) {
   EXPECT_EQ(Spa<double>(10, 10).hi(), 10);
 }
 
-/// Expects the walk to yield exactly nzinds(), sorted.
+/// Expects the walk to yield exactly the model's indices, in order.
 template <typename T>
-void expect_walk_matches_sorted_nzinds(const Spa<T>& spa) {
-  std::vector<Index> sorted = spa.nzinds();
-  std::sort(sorted.begin(), sorted.end());
+void expect_walk_matches(const Spa<T>& spa, const std::set<Index>& model) {
+  const std::vector<Index> sorted(model.begin(), model.end());
   std::vector<Index> walked;
   spa.for_each_sorted([&](Index i) { walked.push_back(i); });
   EXPECT_EQ(walked, sorted);
@@ -282,13 +310,19 @@ TEST(Spa, ForEachSortedMatchesSortedNzinds) {
     for (int round = 0; round < 3; ++round) {
       // Pushes with repeats: about half the range, drawn with
       // replacement, plus both ends.
-      spa.accumulate(lo, 1, add);
-      spa.accumulate(hi - 1, 1, add);
+      std::set<Index> touched;
+      auto push = [&](Index i) {
+        spa.accumulate(i, 1, add);
+        touched.insert(i);
+      };
+      push(lo);
+      push(hi - 1);
       for (std::uint64_t k = 0; k < range / 2; ++k) {
-        spa.accumulate(lo + static_cast<Index>(rng() % range), 1, add);
+        push(lo + static_cast<Index>(rng() % range));
       }
-      expect_walk_matches_sorted_nzinds(spa);
-      spa.reset();
+      EXPECT_EQ(spa.nnz(), static_cast<Index>(touched.size()));
+      expect_walk_matches(spa, touched);
+      spa.reset(std::vector<Index>(touched.begin(), touched.end()));
       std::vector<Index> none;
       spa.for_each_sorted([&](Index i) { none.push_back(i); });
       EXPECT_TRUE(none.empty());
