@@ -82,7 +82,7 @@ void bfs_step(const DistCsr<T>& a, BfsState<T>& st,
                   {"frontier", std::to_string(st.frontier.nnz())}});
   grid.metrics().counter("algo.iterations", {{"algo", "bfs"}}).inc();
   // Frontier values carry the discovering vertex: x[r] = r.
-  grid.coforall_locales([&](LocaleCtx& ctx) {
+  grid.coforall_compute([&](LocaleCtx& ctx) {
     auto& lf = st.frontier.local(ctx.locale());
     for (Index p = 0; p < lf.nnz(); ++p) {
       lf.value_at(p) = static_cast<T>(lf.index_at(p));
@@ -106,7 +106,7 @@ void bfs_step(const DistCsr<T>& a, BfsState<T>& st,
   }
 
   // Record parents and extend the visited set.
-  grid.coforall_locales([&](LocaleCtx& ctx) {
+  grid.coforall_compute([&](LocaleCtx& ctx) {
     const auto& lf = fresh.local(ctx.locale());
     for (Index p = 0; p < lf.nnz(); ++p) {
       st.res.parent[static_cast<std::size_t>(lf.index_at(p))] =
@@ -213,7 +213,7 @@ void bfs_batch_step(const DistCsr<T>& a, BfsBatchState<T>& st,
   }
   // Per lane: the solo value-write pass (frontier values carry the
   // discovering vertex), charged per lane inside one locale loop.
-  grid.coforall_locales([&](LocaleCtx& ctx) {
+  grid.coforall_compute([&](LocaleCtx& ctx) {
     for (int q : act) {
       auto& lf = st.lanes[static_cast<std::size_t>(q)].frontier.local(
           ctx.locale());
@@ -252,7 +252,7 @@ void bfs_batch_step(const DistCsr<T>& a, BfsBatchState<T>& st,
     }
   }
   if (!live.empty()) {
-    grid.coforall_locales([&](LocaleCtx& ctx) {
+    grid.coforall_compute([&](LocaleCtx& ctx) {
       for (int i : live) {
         auto& ln = st.lanes[static_cast<std::size_t>(
             act[static_cast<std::size_t>(i)])];

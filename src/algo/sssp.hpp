@@ -82,7 +82,7 @@ void sssp_step(const DistCsr<T>& a, SsspState& st,
   // Keep the candidates that actually improve; update dist.
   std::vector<std::vector<Index>> imp_idx(grid.num_locales());
   std::vector<std::vector<double>> imp_val(grid.num_locales());
-  grid.coforall_locales([&](LocaleCtx& ctx) {
+  grid.coforall_compute([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
     const auto& lc = cand.local(l);
     auto& ld = st.dist.local(l);
@@ -228,7 +228,7 @@ void sssp_batch_step(const DistCsr<T>& a, SsspBatchState& st,
         static_cast<std::size_t>(nloc));
     std::vector<std::vector<double>> imp_val(
         static_cast<std::size_t>(nloc));
-    grid.coforall_locales([&](LocaleCtx& ctx) {
+    grid.coforall_compute([&](LocaleCtx& ctx) {
       const int l = ctx.locale();
       const auto& lc = lc_all.local(l);
       auto& ld = ln.dist.local(l);

@@ -68,7 +68,7 @@ void mask_union(DistDenseVec<B>& mask, const DistSparseVec<T>& x) {
   PGB_REQUIRE_SHAPE(x.capacity() == mask.size(),
                     "mask size must equal vector capacity");
   auto& grid = x.grid();
-  grid.coforall_locales([&](LocaleCtx& ctx) {
+  grid.coforall_compute([&](LocaleCtx& ctx) {
     const int l = ctx.locale();
     const auto& lx = x.local(l);
     auto& lm = mask.local(l);
