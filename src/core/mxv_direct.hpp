@@ -169,12 +169,8 @@ DistSparseVec<T> mxv_direct(const DistCsr<TA>& a,
       });
   obs::GridSpan scatter_span(grid, "mxv.scatter");
   DistSparseVec<T> y(grid, a.nrows());
-  struct Update {  // the wire element
-    Index r;
-    T v;
-  };
   scatter_site.coforall([&](LocaleCtx& ctx) {
-    auto out = scatter_site.scatter<Update>(ctx);
+    auto out = scatter_site.scatter<detail::Update<T>>(ctx);
     out.push_sorted(
         0, ly[static_cast<std::size_t>(ctx.locale())].domain().indices(),
         y.dist());
@@ -185,8 +181,8 @@ DistSparseVec<T> mxv_direct(const DistCsr<TA>& a,
     const int o = ctx.locale();
     Spa<T> spa(y.dist().lo(o), y.dist().hi(o));
     detail::accumulate_runs(
-        scatter_site, o, &spa,
-        [&](int, int l) -> const SparseVec<T>& {
+        scatter_site, o, /*lane=*/0, spa,
+        [&](int l) -> const SparseVec<T>& {
           return ly[static_cast<std::size_t>(l)];
         },
         sr);

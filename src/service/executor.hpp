@@ -4,7 +4,7 @@
 // (bfs_batch / sssp_batch), whose per-level frontier exchange is the
 // fused multi-frontier SpMSpV — one comm schedule priced and paid per
 // level for the whole batch. Per-query results are byte-identical to
-// solo runs (see core/spmspv_multi.hpp for why).
+// solo runs (see spmspv_dist_multi in core/spmspv.hpp for why).
 //
 // When a fault plan is attached, BFS and SSSP batches run their batch
 // loops (algo_recovery.hpp) under the resilient driver, run_resilient,

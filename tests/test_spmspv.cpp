@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <tuple>
@@ -15,7 +16,6 @@
 #include "core/ops.hpp"
 #include "core/spmspv.hpp"
 #include "core/spmspv_cw.hpp"
-#include "core/spmspv_multi.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/random_vec.hpp"
 
@@ -430,7 +430,7 @@ TEST(SpmspvCharge, PinnedPerSortAndAlgo) {
                  0xda4c6289bc3505adull});
 }
 
-// ---- the fused kernel rejects what only the solo kernel models ---------
+// ---- the fused entry rejects what only the solo entry models -----------
 
 void run_fused(const SpmspvOptions& opt) {
   auto grid = LocaleGrid::square(4, 2);
@@ -452,6 +452,41 @@ TEST(SpmspvMultiOptions, RejectsStragglerShedding) {
   SpmspvOptions opt;
   opt.straggler_shed = 0.3;
   EXPECT_THROW(run_fused(opt), InvalidArgument);
+}
+
+// ---- the solo entries check straggler_shed before the wave charges ------
+
+TEST(SpmspvDist, RejectsShedOutsideUnitInterval) {
+  auto grid = LocaleGrid::square(4, 2);
+  auto a = erdos_renyi_dist<double>(grid, 2000, 8.0, 7);
+  auto x = random_dist_sparse_vec<double>(grid, 2000, 300, 9);
+  DistDenseVec<std::uint8_t> mask(grid, 2000, 0);
+  const auto sr = arithmetic_semiring<double>();
+  for (const double shed : {1.0, 1.5, -0.25, std::nan("")}) {
+    for (const bool masked : {false, true}) {
+      grid.reset();
+      SpmspvOptions opt;
+      opt.straggler_shed = shed;
+      if (masked) {
+        EXPECT_THROW(spmspv_dist_masked(a, x, mask, MaskMode::kComplement,
+                                        sr, opt),
+                     InvalidArgument)
+            << shed;
+      } else {
+        EXPECT_THROW(spmspv_dist(a, x, sr, opt), InvalidArgument) << shed;
+      }
+      // Nothing was charged or counted.
+      for (int l = 0; l < grid.num_locales(); ++l) {
+        EXPECT_EQ(grid.clock(l).now(), 0.0) << shed << " l=" << l;
+      }
+      EXPECT_EQ(grid.comm_stats().messages, 0) << shed;
+      EXPECT_EQ(grid.comm_stats().bytes, 0) << shed;
+      EXPECT_EQ(grid.metrics().find_counter("kernel.calls",
+                                            {{"kernel", "spmspv_dist"}}),
+                nullptr)
+          << shed;
+    }
+  }
 }
 
 }  // namespace
