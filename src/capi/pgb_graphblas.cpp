@@ -507,7 +507,8 @@ GrB_Info pgb_service_drain(void) {
 GrB_Info pgb_query_done(int* out, pgb_query_id_t id) {
   if (out == nullptr) return GrB_NULL_POINTER;
   if (g_service == nullptr) return GrB_UNINITIALIZED_OBJECT;
-  PGB_C_GUARD(*out = g_service->record(id).done ? 1 : 0);
+  PGB_C_GUARD(
+      *out = g_service->record(id).state == pgb::QueryState::kDone ? 1 : 0);
 }
 
 GrB_Info pgb_query_state(int* out, pgb_query_id_t id) {
@@ -550,7 +551,8 @@ GrB_Info pgb_query_bfs_parent(int64_t* out, pgb_query_id_t id, GrB_Index v) {
     if (rec.state == pgb::QueryState::kDeadlineExpired) {
       return GrB_DEADLINE_EXPIRED;
     }
-    if (!rec.done || rec.kind != pgb::QueryKind::kBfs) {
+    if (rec.state != pgb::QueryState::kDone ||
+        rec.kind != pgb::QueryKind::kBfs) {
       return GrB_INVALID_VALUE;
     }
     if (v >= rec.result.bfs.parent.size()) return GrB_INDEX_OUT_OF_BOUNDS;
@@ -566,7 +568,8 @@ GrB_Info pgb_query_sssp_dist(double* out, pgb_query_id_t id, GrB_Index v) {
     if (rec.state == pgb::QueryState::kDeadlineExpired) {
       return GrB_DEADLINE_EXPIRED;
     }
-    if (!rec.done || rec.kind != pgb::QueryKind::kSssp) {
+    if (rec.state != pgb::QueryState::kDone ||
+        rec.kind != pgb::QueryKind::kSssp) {
       return GrB_INVALID_VALUE;
     }
     if (v >= rec.result.sssp.dist.size()) return GrB_INDEX_OUT_OF_BOUNDS;

@@ -24,6 +24,7 @@
 #include "fault/checkpoint.hpp"
 #include "runtime/dist.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace pgb {
 
@@ -290,24 +291,16 @@ inline ReplayResult replay_log_bytes(const unsigned char* data, std::size_t n,
   return r;
 }
 
-/// Seeded mutation-stream generator (splitmix64, same convention as the
-/// pgb_serve workload RNG): the batch stream is a pure function of the
-/// seed, so fault-free and kill runs ingest identical deltas.
+/// Relative weights of inserts and deletes in a mutation stream.
 struct IngestMix {
   std::int64_t insert = 1;
   std::int64_t erase = 0;
   std::int64_t total() const { return insert + erase; }
 };
 
-struct MutationRng {
-  std::uint64_t s;
-  std::uint64_t next() {
-    std::uint64_t z = (s += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-};
+/// Seeded mutation-stream generator: the batch stream is a pure function
+/// of the seed, so fault-free and kill runs ingest identical deltas.
+using MutationRng = SplitMix64;
 
 /// Draws one batch of `count` mutations over an n-vertex graph. With
 /// `symmetric`, each drawn edge contributes both (r, c) and (c, r) —

@@ -104,7 +104,6 @@ struct QueryRecord {
   double completion = 0.0;  ///< simulated completion/expiry time
   int batch_width = 0;      ///< width of the batch that served it
   QueryState state = QueryState::kQueued;
-  bool done = false;        ///< state == kDone (kept for existing callers)
   bool polled = false;      ///< released by the client; compactable
   QueryResult result;       ///< valid only when state == kDone
 };
@@ -384,7 +383,6 @@ class GraphService {
         continue;
       }
       rec.state = QueryState::kDone;
-      rec.done = true;
       rec.result = std::move(results[i]);
       governor_.on_success(rec.tenant, end);
       const double lat_us = (end - rec.arrival) * 1e6;

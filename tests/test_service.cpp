@@ -392,7 +392,7 @@ TEST(GraphServiceTest, SubmitValidatesAndServes) {
 
   svc.drain();
   const QueryRecord& rec = svc.record(s.id);
-  EXPECT_TRUE(rec.done);
+  EXPECT_EQ(rec.state, QueryState::kDone);
   EXPECT_EQ(rec.result.kind, QueryKind::kBfs);
   EXPECT_EQ(rec.result.bfs.parent[3], 3);
   EXPECT_GE(rec.completion, rec.arrival);
@@ -456,7 +456,7 @@ TEST(GraphServiceTest, BatchesFuseAndResultsMatchSolo) {
   svc.drain();
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const QueryRecord& rec = svc.record(ids[i]);
-    ASSERT_TRUE(rec.done);
+    ASSERT_EQ(rec.state, QueryState::kDone);
     EXPECT_EQ(rec.batch_width, 4) << "query " << i;
     EXPECT_EQ(rec.result.bfs.parent, solo[i].parent) << "query " << i;
   }
@@ -520,14 +520,14 @@ TEST(GraphServiceTest, PagerankSubgraphAndEgoNetServe) {
   svc.drain();
 
   const auto& erec = svc.record(e.id);
-  ASSERT_TRUE(erec.done);
+  ASSERT_EQ(erec.state, QueryState::kDone);
   ASSERT_FALSE(erec.result.ego.empty());
   // The source belongs to its own ego net.
   EXPECT_TRUE(std::find(erec.result.ego.begin(), erec.result.ego.end(),
                         Index{10}) != erec.result.ego.end());
 
   const auto& prec = svc.record(p.id);
-  ASSERT_TRUE(prec.done);
+  ASSERT_EQ(prec.state, QueryState::kDone);
   EXPECT_EQ(prec.result.ego, erec.result.ego);
   ASSERT_EQ(prec.result.rank.size(), prec.result.ego.size());
   double sum = 0.0;
@@ -564,7 +564,7 @@ TEST(ResilienceTest, DeadlineExpiresWhileQueuedNeverServes) {
   EXPECT_TRUE(svc.step());  // a round that only expires still returns true
   const QueryRecord& rec = svc.record(s.id);
   EXPECT_EQ(rec.state, QueryState::kDeadlineExpired);
-  EXPECT_FALSE(rec.done);
+  EXPECT_NE(rec.state, QueryState::kDone);
   EXPECT_GE(rec.completion, 0.02);
   EXPECT_EQ(grid.metrics()
                 .counter("service.expired",
@@ -646,7 +646,7 @@ TEST(ResilienceTest, NoResultEverReturnedPastItsDeadline) {
     if (rec.state == QueryState::kDone) {
       EXPECT_LE(rec.completion, rec.deadline) << "id " << rec.id;
     } else {
-      EXPECT_FALSE(rec.done) << "id " << rec.id;
+      EXPECT_NE(rec.state, QueryState::kDone) << "id " << rec.id;
     }
   }
 }

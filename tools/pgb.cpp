@@ -8,12 +8,11 @@
 // Examples:
 //   pgb --gen=rmat --rmat-scale=16 --op=bfs --nodes=16
 //   pgb --matrix=web.mtx --op=pagerank --machine=modern
-//   pgb --gen=er --n=1000000 --d=16 --op=spmspv --f=0.02 --bulk
+//   pgb --gen=er --n=1000000 --d=16 --op=spmspv --f=0.02 --comm=bulk
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <optional>
 #include <string>
 
@@ -24,13 +23,10 @@
 #include "algo/mis.hpp"
 #include "algo/pagerank.hpp"
 #include "algo/sssp.hpp"
+#include "common.hpp"
 #include "core/graphblas.hpp"
-#include "gen/erdos_renyi.hpp"
 #include "gen/random_vec.hpp"
-#include "gen/rmat.hpp"
 #include "io/matrix_market.hpp"
-#include "obs/profile.hpp"
-#include "obs/trace.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -97,13 +93,6 @@ void print_inspector(LocaleGrid& grid) {
       static_cast<double>(cnt("inspector.replicated_bytes")) / 1e6);
 }
 
-/// Writes the grid's metrics registry as JSON.
-void write_metrics(LocaleGrid& grid, const std::string& path) {
-  std::ofstream out(path);
-  PGB_REQUIRE(out.good(), "cannot open metrics file: " + path);
-  out << grid.metrics().json() << "\n";
-}
-
 }  // namespace
 
 int run(int argc, char** argv) {
@@ -123,28 +112,14 @@ int run(int argc, char** argv) {
   const Index source = cli.get_int("source", 0, "source vertex");
   const double f =
       cli.get_double("f", 0.02, "input-vector density for --op=spmspv");
-  const bool bulk =
-      cli.get_bool("bulk", false, "bulk-synchronous communication");
   const std::string comm_flag = cli.get(
-      "comm", "", "communication schedule: fine | bulk | agg | auto "
-                  "(inspector-chosen per site; overrides --bulk)");
+      "comm", "fine", "communication schedule: fine | bulk | agg | auto "
+                      "(inspector-chosen per site)");
   const std::int64_t agg_capacity = cli.get_int(
       "agg-capacity", 2048, "aggregator buffer capacity (--comm=agg)");
   const std::string machine =
       cli.get("machine", "edison", "machine model: edison | modern");
-  const std::string trace_file = cli.get(
-      "trace", "", "write a Chrome trace (Perfetto-loadable) of the op");
-  const bool trace_detail = cli.get_bool(
-      "trace-detail", false, "also record per-call comm instants");
-  const std::string metrics_file =
-      cli.get("metrics", "", "write the metrics registry as JSON");
-  const std::string comm_matrix_file = cli.get(
-      "comm-matrix", "",
-      "write the per src->dst locale comm matrix (messages + bytes) as "
-      "JSON, or CSV when the path ends in .csv");
-  const std::string profile_file = cli.get(
-      "profile", "",
-      "write a profile report (span tree + counters) for pgb_diff");
+  tools::Exports exports(cli);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(cli.get_int("seed", 1, "generator seed"));
   const std::string faults = cli.get(
@@ -183,10 +158,6 @@ int run(int argc, char** argv) {
 
   PGB_REQUIRE(machine == "edison" || machine == "modern",
               "--machine must be edison or modern");
-  // Checked before narrowing, so 2^32 + 8 is not read as 8.
-  PGB_REQUIRE(rmat_scale >= 0 && rmat_scale <= 62,
-              "--rmat-scale must be in [0, 62]; got " +
-                  std::to_string(rmat_scale));
   PGB_REQUIRE(agg_capacity >= 1,
               "--agg-capacity must be a positive element count");
   const RecoveryPolicy policy = parse_recovery_policy(recovery_flag);
@@ -197,12 +168,7 @@ int run(int argc, char** argv) {
   const MachineModel model =
       machine == "edison" ? MachineModel::edison() : MachineModel::modern();
   auto grid = LocaleGrid::square(nodes, threads, 1, model);
-
-  obs::TraceSession session(trace_detail);
-  if (!trace_file.empty() || !profile_file.empty()) {
-    grid.set_trace_session(&session);
-  }
-  if (!comm_matrix_file.empty()) grid.enable_comm_matrix();
+  exports.attach(grid);
 
   // --- load or generate the matrix (double values throughout) ---
   DistCsr<double> a(grid, 0, 0);
@@ -214,28 +180,14 @@ int run(int argc, char** argv) {
                 static_cast<long long>(a.ncols()),
                 static_cast<long long>(a.nnz()),
                 info.symmetric ? " (symmetric)" : "");
-  } else if (gen == "er") {
-    a = erdos_renyi_dist<double>(grid, n, d, seed);
-    std::printf("generated ER: n=%lld d=%g, %lld nonzeros\n",
-                static_cast<long long>(n), d,
-                static_cast<long long>(a.nnz()));
-  } else if (gen == "rmat") {
-    RmatParams p;
-    p.scale = static_cast<int>(rmat_scale);
-    p.seed = seed;
-    a = rmat_dist<double>(grid, p);
-    std::printf("generated R-MAT: 2^%d vertices, %lld edges (symmetric)\n",
-                p.scale, static_cast<long long>(a.nnz()));
   } else {
-    throw InvalidArgument("--gen must be er or rmat");
+    a = tools::generate_graph(grid, gen, n, d, rmat_scale, seed);
   }
   std::printf("grid: %dx%d locales, %d threads, machine=%s\n\n", grid.rows(),
               grid.cols(), threads, machine.c_str());
 
   SpmspvOptions comm;
-  comm.comm = comm_flag.empty()
-                  ? (bulk ? CommMode::kBulk : CommMode::kFine)
-                  : parse_comm_mode(comm_flag);
+  comm.comm = parse_comm_mode(comm_flag);
   comm.agg.capacity = agg_capacity;
   comm.straggler_shed = shed;
   if (straggler_ms > 0.0) {
@@ -387,68 +339,35 @@ int run(int argc, char** argv) {
                     grid.metrics().counter("straggler.detected").value),
                 grid.straggler_threshold() * 1e3);
   }
-  if (!trace_file.empty()) {
-    session.write_chrome_trace(trace_file);
-    std::printf("trace: %d tracks, %zu spans, %zu counter samples -> %s\n",
-                session.num_tracks(), session.spans().size(),
-                session.counter_samples().size(), trace_file.c_str());
+  // Workload identity for --profile. The default (rollback) recovery
+  // keeps the legacy string, so existing committed profiles still diff
+  // cleanly.
+  std::string workload = op;
+  if (!matrix.empty()) {
+    workload += " " + matrix;
+  } else if (gen == "er") {
+    char g[64];
+    std::snprintf(g, sizeof g, " er n=%lld d=%g", static_cast<long long>(n),
+                  d);
+    workload += g;
+  } else {
+    workload += " rmat scale=" + std::to_string(rmat_scale);
   }
-  if (!metrics_file.empty()) {
-    write_metrics(grid, metrics_file);
-    std::printf("metrics -> %s\n", metrics_file.c_str());
+  if (op == "spmspv") {
+    char fs[32];
+    std::snprintf(fs, sizeof fs, " f=%g", f);
+    workload += fs;
   }
-  if (!comm_matrix_file.empty()) {
-    grid.write_comm_matrix(comm_matrix_file);
-    std::printf("comm matrix: %d locales, %lld msgs, %lld B -> %s\n",
-                grid.num_locales(),
-                static_cast<long long>(grid.comm_matrix_total_messages()),
-                static_cast<long long>(grid.comm_matrix_total_bytes()),
-                comm_matrix_file.c_str());
+  if (op == "bfs" || op == "bfs-hybrid" || op == "sssp") {
+    workload += " source=" + std::to_string(static_cast<long long>(source));
   }
-  if (!profile_file.empty()) {
-    obs::Profile prof =
-        obs::build_profile(session, grid.metrics().snapshot());
-    // Workload identity: enough detail that diffing two different runs
-    // is rejected as a structural mismatch instead of reported as a
-    // thousand "regressions".
-    std::string workload = op;
-    if (!matrix.empty()) {
-      workload += " " + matrix;
-    } else if (gen == "er") {
-      char g[64];
-      std::snprintf(g, sizeof g, " er n=%lld d=%g",
-                    static_cast<long long>(n), d);
-      workload += g;
-    } else {
-      workload += " rmat scale=" + std::to_string(rmat_scale);
+  if (!faults.empty()) {
+    workload += " faults=" + faults;
+    if (policy != RecoveryPolicy::kRollback) {
+      workload += " recovery=" + recovery_flag;
     }
-    if (op == "spmspv") {
-      char fs[32];
-      std::snprintf(fs, sizeof fs, " f=%g", f);
-      workload += fs;
-    }
-    if (op == "bfs" || op == "bfs-hybrid" || op == "sssp") {
-      workload += " source=" + std::to_string(static_cast<long long>(source));
-    }
-    if (!faults.empty()) {
-      workload += " faults=" + faults;
-      // Recovery driver is part of the workload identity, but keep the
-      // legacy string for the default (rollback) so existing committed
-      // profiles still diff cleanly.
-      if (policy != RecoveryPolicy::kRollback) {
-        workload += " recovery=" + recovery_flag;
-      }
-    }
-    prof.workload = workload;
-    prof.comm = to_string(comm.comm);
-    prof.seed = seed;
-    prof.locales = grid.num_locales();
-    prof.threads = grid.threads();
-    prof.machine = machine;
-    prof.write(profile_file);
-    std::printf("profile: %zu root spans -> %s\n", prof.spans.size(),
-                profile_file.c_str());
   }
+  exports.write(grid, {workload, to_string(comm.comm), seed, machine});
   return 0;
 }
 
