@@ -20,7 +20,6 @@
 #include "core/matrix_ewise.hpp"  // IWYU pragma: export
 #include "core/mxm.hpp"          // IWYU pragma: export
 #include "core/mxm_dist.hpp"     // IWYU pragma: export
-#include "core/mxv_direct.hpp"   // IWYU pragma: export
 #include "core/ops.hpp"          // IWYU pragma: export
 #include "core/permute.hpp"      // IWYU pragma: export
 #include "core/reduce.hpp"       // IWYU pragma: export

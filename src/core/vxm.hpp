@@ -3,11 +3,10 @@
 // and optional masks — the naming surface of the C API the paper cites
 // [7], layered over spmspv_dist.
 //
-// The 2-D distribution is row/column symmetric, so mxv(A, x) is computed
-// as vxm(x, A^T); the transpose is materialized explicitly (transpose̲dist)
-// and that cost is charged, which is exactly what a GraphBLAS runtime
-// without a transposed-view kernel would pay. Callers iterating mxv
-// should transpose once and use vxm.
+// mxv is the library's one A x. Blocks are CSR only (the paper's Fig 6
+// note: orientation changes neither the SpMSpV algorithm nor its cost),
+// so mxv(A, x) is vxm(x, A^T) with A^T materialized by transpose_dist
+// and charged. Callers iterating mxv should transpose once and use vxm.
 #pragma once
 
 #include "core/descriptor.hpp"

@@ -24,19 +24,9 @@
 #include "sparse/dist_dense_vec.hpp"
 #include "sparse/dist_sparse_vec.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 
 namespace pgb {
-
-/// FNV-1a 64-bit over a byte range.
-inline std::uint64_t fnv1a(const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 /// One locale's serialized share of a checkpointed object.
 struct CheckpointBlock {

@@ -1,7 +1,7 @@
 // Replicated, checksummed delta log for streaming graph ingestion.
 //
 // A MutationBatch is a sequence-numbered block of edge inserts/deletes
-// guarded by an FNV-1a checksum (fault/checkpoint.hpp's hash). Owner
+// guarded by an FNV-1a checksum (util/fnv.hpp). Owner
 // locales append their slice of each batch to a per-locale DeltaLog as
 // one *page* — a framed, self-checksummed record — and mirror the frame
 // bytes to the PR-5 buddy locale before the batch is acknowledged.
@@ -24,21 +24,10 @@
 #include "fault/checkpoint.hpp"
 #include "runtime/dist.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 namespace pgb {
-
-/// Extends an FNV-1a hash over another byte range (same constants as
-/// fnv1a in fault/checkpoint.hpp, resumable).
-inline std::uint64_t fnv1a_extend(std::uint64_t h, const void* data,
-                                  std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 enum class DeltaOp : std::int32_t {
   kInsert = 0,  ///< insert or overwrite the edge's value
@@ -88,8 +77,7 @@ struct MutationBatch {
   std::uint64_t checksum = 0;
 
   std::uint64_t compute_checksum() const {
-    std::uint64_t h = 1469598103934665603ull;
-    h = fnv1a_extend(h, &seq, sizeof(seq));
+    std::uint64_t h = fnv1a_extend(kPgbFnvBasis, &seq, sizeof(seq));
     std::vector<unsigned char> buf;
     buf.reserve(static_cast<std::size_t>(kEdgeDeltaBytes));
     for (const EdgeDelta& d : deltas) {
@@ -125,8 +113,7 @@ struct DeltaLogPage {
   }
 
   std::uint64_t compute_checksum() const {
-    std::uint64_t h = 1469598103934665603ull;
-    h = fnv1a_extend(h, &seq, sizeof(seq));
+    std::uint64_t h = fnv1a_extend(kPgbFnvBasis, &seq, sizeof(seq));
     h = fnv1a_extend(h, &count, sizeof(count));
     h = fnv1a_extend(h, payload.data(), payload.size());
     return h;

@@ -59,6 +59,7 @@
 #include "service/handle.hpp"
 #include "sparse/csr_overlay.hpp"
 #include "sparse/dist_csr.hpp"
+#include "util/fnv.hpp"
 
 namespace pgb {
 
@@ -113,9 +114,8 @@ inline Csr<double> deserialize_csr(const unsigned char* p, std::size_t n) {
 /// equal iff their distributed representations are bit-identical — the
 /// CI gate for kill-run vs fault-free-run equality.
 inline std::uint64_t ingest_graph_hash(const DistCsr<double>& g) {
-  std::uint64_t h = 1469598103934665603ull;
   const Index nr = g.nrows(), nc = g.ncols();
-  h = fnv1a_extend(h, &nr, sizeof(nr));
+  std::uint64_t h = fnv1a_extend(kPgbFnvBasis, &nr, sizeof(nr));
   h = fnv1a_extend(h, &nc, sizeof(nc));
   for (int l = 0; l < g.grid().num_locales(); ++l) {
     const auto& csr = g.block(l).csr;

@@ -176,7 +176,9 @@ void append_node_json(std::string& out, const ProfileNode& n, int indent) {
   for (const auto& [key, v] : n.counters) {
     out += first ? "" : ", ";
     first = false;
-    out += "\"" + json_escape(key) + "\": " + std::to_string(v);
+    // Appends: `"\"" + std::string&&` trips GCC 12's -Wrestrict at -O3.
+    out.append("\"").append(json_escape(key)).append("\": ");
+    out.append(std::to_string(v));
   }
   out += "},\n";
   out += pad + "  \"children\": {";

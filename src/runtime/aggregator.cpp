@@ -124,11 +124,6 @@ void AggChannel::issue(int peer, double cost, std::int64_t msgs,
   const double total_cost = static_cast<double>(out.attempts) * cost +
                             out.stall_time + out.wait_time;
   SimClock& clk = ctx_.clock();
-  if (!cfg_.double_buffer) {
-    clk.advance(total_cost);
-    inflight_end_ = clk.now();
-    return;
-  }
   // Double buffering: the task hands the full buffer to the transport —
   // paying only the software handoff — and keeps filling the spare. The
   // transfer occupies the single injection channel: it starts once the
@@ -152,7 +147,7 @@ void AggChannel::flush_put(int peer, std::int64_t bytes,
   const bool intra = grid.same_node(ctx_.host(), grid.host_of(peer));
   const int colo = grid.colocated();
   const auto& net = grid.net();
-  const double cost = net.round_trip(cfg_.header_bytes, intra, colo) +
+  const double cost = net.round_trip(kAggHeaderBytes, intra, colo) +
                       cfg_.contention * net.bulk(bytes, intra, colo);
   // Header round trip (2 one-way messages) + the payload bulk.
   issue(peer, cost, 3, bytes, /*is_get=*/false, elems);
@@ -168,7 +163,7 @@ void AggChannel::flush_get(int peer, std::int64_t req_bytes,
   const bool intra = grid.same_node(ctx_.host(), grid.host_of(peer));
   const int colo = grid.colocated();
   const auto& net = grid.net();
-  double cost = net.round_trip(cfg_.header_bytes, intra, colo) +
+  double cost = net.round_trip(kAggHeaderBytes, intra, colo) +
                 cfg_.contention * net.bulk(resp_bytes, intra, colo);
   std::int64_t msgs = 3;  // header round trip + response bulk
   if (req_bytes > 0) {

@@ -62,21 +62,17 @@ const char* to_string(CommMode m);
 /// InvalidArgument (enumerating the accepted modes) otherwise.
 CommMode parse_comm_mode(const std::string& s);
 
+/// Bytes of an aggregator flush's header (count + base address).
+inline constexpr std::int64_t kAggHeaderBytes = 8;
+
 /// Tuning knobs of one aggregator.
 struct AggConfig {
   /// Elements buffered per peer before a capacity-triggered flush.
   std::int64_t capacity = 2048;
-  /// Model double buffering: a flushed buffer is handed to the transport
-  /// and the task keeps filling the spare while the transfer is in
-  /// flight; successive transfers queue behind one another. When off,
-  /// every flush blocks until its transfer completes.
-  bool double_buffer = true;
   /// Receiver-side serialization: the effective transfer cost is scaled
   /// by this factor when several locales converge on one peer (same
   /// convention as the hand-rolled bulk paths).
   double contention = 1.0;
-  /// Bytes of the per-flush header (count + base address).
-  std::int64_t header_bytes = 8;
   /// Modeled response payload per element of a SrcAggregator flush.
   std::int64_t resp_bytes_each = 8;
 };

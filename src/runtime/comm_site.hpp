@@ -2,7 +2,7 @@
 // that charge it.
 //
 // Every distributed kernel moves data at a few comm *sites*: the SpMSpV
-// and MxV input gathers and output scatters, the 1-D routes of
+// input gathers and output scatters, the 1-D routes of
 // extract_compact/assign_indexed and the indexed pulls of
 // extract_indexed. A kernel declares a CommSite per wave with what moves
 // there (name, shape, element bytes, fanout, whether the data is
@@ -60,11 +60,11 @@ namespace pgb {
 /// The communication pattern of a site.
 enum class SiteShape {
   /// Each initiator reads known-size pieces from a set of sources (the
-  /// SpMSpV/MxV input gathers): a size round trip per remote source,
+  /// SpMSpV input gathers): a size round trip per remote source,
   /// then the piece under the schedule. Read-only pieces may replicate.
   kGather,
   /// Each initiator accumulates elements into their owners' accumulators
-  /// (the SpMSpV/MxV output scatters). The site also charges the
+  /// (the SpMSpV output scatters). The site also charges the
   /// owner-side accumulate and the per-destination packing.
   kAccumulate,
   /// Each initiator routes records to their owners, which install them

@@ -10,7 +10,7 @@
 // inspect the access pattern once, then bind an optimized executor.
 //
 // This header is the runtime half of that idea. Each call site registers
-// under a stable id ("spmspv.gather", "mxv.scatter", ...). Before a
+// under a stable id ("spmspv.gather", "extract.indexed", ...). Before a
 // communication wave the site's CommSite (runtime/comm_site.hpp) hands
 // the inspector the wave's *footprint* — how many remote (initiator,
 // target) pairs it will touch, how many elements, the bytes/element
@@ -113,7 +113,7 @@ struct SiteFootprint {
   /// search); 0 means the fine messages are independent/overlapped.
   double chain_rts = 0.0;
   /// Node-side fixed cost (seconds) the kernel charges per remote pair
-  /// under kBulk and nowhere else — e.g. the SpMSpV/MxV scatters issue
+  /// under kBulk and nowhere else — e.g. the SpMSpV scatters issue
   /// one packing parallel-region per destination, whose task-spawn floor
   /// (LocaleGrid::region_floor()) dwarfs the wire cost at small batch
   /// sizes. 0 for sites whose bulk path folds packing into a shared

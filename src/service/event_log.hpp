@@ -43,7 +43,8 @@ inline std::string ev_num(double v) {
 inline std::string ev_int(std::int64_t v) { return std::to_string(v); }
 
 inline std::string ev_str(const std::string& s) {
-  return "\"" + obs::json_escape(s) + "\"";
+  // Appends: `"\"" + std::string&&` trips GCC 12's -Wrestrict at -O3.
+  return std::string("\"").append(obs::json_escape(s)).append("\"");
 }
 
 class ServiceEventLog {

@@ -15,28 +15,18 @@
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/dist_csr.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 namespace pgb::pins {
 
-inline std::uint64_t fnv(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* b = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= b[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
-
 template <typename T>
 std::uint64_t csr_hash(std::uint64_t h, const Csr<T>& m) {
   const Index shape[2] = {m.nrows(), m.ncols()};
-  h = fnv(h, shape, sizeof shape);
-  h = fnv(h, m.rowptr().data(), m.rowptr().size_bytes());
-  h = fnv(h, m.colids().data(), m.colids().size_bytes());
-  return fnv(h, m.values().data(), m.values().size_bytes());
+  h = fnv1a_extend(h, shape, sizeof shape);
+  h = fnv1a_extend(h, m.rowptr().data(), m.rowptr().size_bytes());
+  h = fnv1a_extend(h, m.colids().data(), m.colids().size_bytes());
+  return fnv1a_extend(h, m.values().data(), m.values().size_bytes());
 }
 
 /// Every block's bounds and CSR bytes, in locale order.
@@ -45,7 +35,7 @@ std::uint64_t blocks_hash(std::uint64_t h, const DistCsr<T>& m) {
   for (int l = 0; l < m.grid().num_locales(); ++l) {
     const auto& b = m.block(l);
     const Index bounds[4] = {b.rlo, b.rhi, b.clo, b.chi};
-    h = fnv(h, bounds, sizeof bounds);
+    h = fnv1a_extend(h, bounds, sizeof bounds);
     h = csr_hash(h, b.csr);
   }
   return h;

@@ -20,12 +20,12 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/assign.hpp"
 #include "core/assign_general.hpp"
 #include "core/extract.hpp"
-#include "core/mxv_direct.hpp"
 #include "core/ops.hpp"
 #include "core/spmspv.hpp"
 #include "fault/fault.hpp"
@@ -33,25 +33,21 @@
 #include "gen/erdos_renyi.hpp"
 #include "gen/random_vec.hpp"
 #include "obs/trace.hpp"
+#include "sparse/coo.hpp"
+#include "util/fnv.hpp"
 
 namespace pgb {
 namespace {
 
 class Fnv {
  public:
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 0x100000001b3ull;
-    }
-  }
+  void bytes(const void* p, std::size_t n) { h_ = fnv1a_extend(h_, p, n); }
   void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
   void str(const std::string& s) { bytes(s.data(), s.size()); }
   std::uint64_t value() const { return h_; }
 
  private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
+  std::uint64_t h_ = kFnvOffsetBasis;
 };
 
 template <typename T>
@@ -316,29 +312,69 @@ TEST(CommSiteGolden, DegradedSpmspvDistMulti) {
   });
 }
 
-TEST(CommSiteGolden, MxvDirect) {
-  const Golden golden = {
-      {"4x4/fine", 0x5c2ec4e52da357acull},
-      {"4x4/bulk", 0x252c31affc88d341ull},
-      {"4x4/agg", 0xa7a38d629cbf05f9ull},
-      {"4x4/auto", 0x865f117f262f774cull},
-      {"2x8/fine", 0x830f444e6d32efc5ull},
-      {"2x8/bulk", 0x0f6f0803c0675e9eull},
-      {"2x8/agg", 0xe59ff1f1e2f03cfeull},
-      {"2x8/auto", 0x19919c345cb837c8ull},
-  };
-  check_table(golden, kModes, [](LocaleGrid& g, const Variant& v) {
-    auto a = erdos_renyi_dist<double>(g, kN, 6.0, 11);
-    auto x = random_dist_sparse_vec<double>(g, kN, 240, 12);
-    auto mirror = make_csc_mirror(a);
+// ---- co-hosted peers are charged like local ones ----------------------
+//
+// Both tests remap logical locale 1 of a two-locale grid onto host 0, so
+// every peer of every initiator is local or co-hosted.
+
+TEST(SpmspvCoHosted, ScatterChargesCoHostedOwnerLikeLocal) {
+  // On a 2x1 grid block r's row range is x's owner r (the gather is
+  // local) and its output columns span both owners. A diagonal matrix
+  // keeps each block's output at home; an anti-diagonal one sends all of
+  // it to the other logical locale, which the remap made co-hosted. With
+  // the owner charged like a local one, both cost exactly the same under
+  // every schedule.
+  constexpr Index n = 400;
+  auto run = [&](bool anti, CommMode mode) {
+    auto g = LocaleGrid(GridConfig{.rows = 2, .cols = 1});
+    Coo<double> coo(n, n);
+    for (Index i = 0; i < n; ++i) coo.add(anti ? n - 1 - i : i, i, 1.0);
+    auto a = DistCsr<double>::from_coo(g, coo);
+    std::vector<Index> idx(static_cast<std::size_t>(n));
+    for (Index i = 0; i < n; ++i) idx[static_cast<std::size_t>(i)] = i;
+    auto x = DistSparseVec<double>::from_sorted(
+        g, n, idx, std::vector<double>(static_cast<std::size_t>(n), 2.0));
     g.reset();
-    const SpmspvOptions opt = options(v);
-    std::uint64_t out = 0;
-    for (int pass = 0; pass < passes(v); ++pass) {
-      out = output_hash(mxv_direct(a, mirror, x, kSr, opt).to_local());
-    }
-    return out;
-  });
+    g.remap_locale(1, 0);
+    SpmspvOptions opt;
+    opt.comm = mode;
+    auto y = spmspv_dist(a, x, kSr, opt);
+    EXPECT_EQ(y.nnz(), n);
+    return std::make_pair(
+        g.metrics().counter("runtime.parallel_regions").value, g.time());
+  };
+  for (const Variant& v : kModes) {
+    const auto home = run(false, v.comm);
+    const auto away = run(true, v.comm);
+    EXPECT_EQ(away.first, home.first) << v.name << ": regions";
+    EXPECT_EQ(away.second, home.second) << v.name << ": time";
+  }
+}
+
+TEST(SpmspvCoHosted, GatherNeverReplicatesCoHostedSource) {
+  // On a 1x2 grid every block reads both x owners, one of them co-hosted
+  // after the remap. Repeated identical auto waves bind replication, but
+  // a co-hosted source is local memory: nothing ships and no replica is
+  // installed.
+  auto g = LocaleGrid(GridConfig{.rows = 1, .cols = 2});
+  auto a = erdos_renyi_dist<double>(g, kN, 6.0, 11);
+  auto x = random_dist_sparse_vec<double>(g, kN, 500, 12);
+  g.reset();
+  g.remap_locale(1, 0);
+  SpmspvOptions opt;
+  opt.comm = CommMode::kAuto;
+  const auto ref = spmspv_dist(a, x, kSr).to_local();
+  for (int pass = 0; pass < 8; ++pass) {
+    EXPECT_TRUE(spmspv_dist(a, x, kSr, opt).to_local() == ref);
+  }
+  const auto& mx = g.metrics();
+  const obs::Counter* repl = mx.find_counter(
+      "inspector.site.decisions",
+      {{"site", "spmspv.gather"}, {"strategy", "replicate"}});
+  ASSERT_NE(repl, nullptr);
+  EXPECT_GT(repl->value, 0);
+  const obs::Counter* shipped = mx.find_counter("inspector.replicated_bytes");
+  EXPECT_EQ(shipped == nullptr ? 0 : shipped->value, 0);
 }
 
 TEST(CommSiteGolden, ExtractCompact) {

@@ -13,6 +13,7 @@
 #include "sparse/dist_csr.hpp"
 #include "sparse/dist_dense_vec.hpp"
 #include "sparse/dist_sparse_vec.hpp"
+#include "util/fnv.hpp"
 
 namespace pgb {
 namespace {
@@ -144,7 +145,7 @@ TEST(DistCsr, FromCooRoutesTriples) {
 // must leave every literal as it is; a mismatch prints the new value.
 template <typename T>
 std::uint64_t blocks_hash(const DistCsr<T>& m) {
-  return pins::blocks_hash(pins::kFnvBasis, m);
+  return pins::blocks_hash(kFnvOffsetBasis, m);
 }
 
 // from_coo routes triples in chunks of at least 2^15. With 100000

@@ -11,6 +11,7 @@
 #include "gen/erdos_renyi.hpp"
 #include "gen/random_vec.hpp"
 #include "gen/rmat.hpp"
+#include "util/fnv.hpp"
 
 namespace pgb {
 namespace {
@@ -141,7 +142,7 @@ TEST(ErdosRenyi, PinnedBlocks) {
   for (const auto& s : shapes) {
     auto grid = pins::grid_of(s.rows, s.cols);
     for (int k = 0; k < 3; ++k) {
-      std::uint64_t h = pins::kFnvBasis;
+      std::uint64_t h = kFnvOffsetBasis;
       for (const std::uint64_t seed : seeds) {
         const auto m = erdos_renyi_dist<double>(grid, kN, degrees[k], seed);
         h = pins::blocks_hash(h, m);
@@ -154,7 +155,7 @@ TEST(ErdosRenyi, PinnedBlocks) {
   const std::uint64_t local[3] = {0xec67bc2c88279d9dull, 0xbf2849eb16f8c58ull,
                                   0x5a3fc4a683294feeull};
   for (int k = 0; k < 3; ++k) {
-    std::uint64_t h = pins::kFnvBasis;
+    std::uint64_t h = kFnvOffsetBasis;
     for (const std::uint64_t seed : seeds) {
       h = pins::csr_hash(h, erdos_renyi_csr<double>(kN, degrees[k], seed));
     }
@@ -258,19 +259,11 @@ TEST(Rmat, PinnedTriples) {
     p.b = k.b;
     p.c = k.c;
     const auto coo = rmat_coo(p);
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    const auto mix = [&h](const void* data, std::size_t n) {
-      const auto* bytes = static_cast<const unsigned char*>(data);
-      for (std::size_t i = 0; i < n; ++i) {
-        h ^= bytes[i];
-        h *= 0x100000001b3ull;
-      }
-    };
     const Index shape[3] = {coo.nrows(), coo.ncols(), coo.nnz()};
-    mix(shape, sizeof shape);
+    std::uint64_t h = fnv1a_extend(kFnvOffsetBasis, shape, sizeof shape);
     for (const auto& t : coo.triples()) {
       const std::int64_t w[3] = {t.row, t.col, t.val};
-      mix(w, sizeof w);
+      h = fnv1a_extend(h, w, sizeof w);
     }
     EXPECT_EQ(h, k.hash) << "scale=" << k.scale << " ef=" << k.edge_factor
                          << " seed=" << k.seed << ": 0x" << std::hex << h;

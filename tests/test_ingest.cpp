@@ -550,7 +550,7 @@ PublishPins run_publish_pins(int side) {
   }
 
   PublishPins out;
-  out.epochs = 1469598103934665603ull;
+  out.epochs = kPgbFnvBasis;
   for (const MutationBatch& b : rounds) {
     stream.apply(b);
     stream.publish();
@@ -569,7 +569,7 @@ PublishPins run_publish_pins(int side) {
   out.stats = fnv1a(fields, sizeof(fields));
   const std::string reg = grid.metrics().json();
   out.registry = fnv1a(reg.data(), reg.size());
-  out.events = 1469598103934665603ull;
+  out.events = kPgbFnvBasis;
   for (const std::string& line : elog.lines()) {
     out.events = fnv1a_extend(out.events, line.data(), line.size());
   }
@@ -722,8 +722,8 @@ TEST(IngestRecoveryTest, FailureBudgetIsFourKillsPerStage) {
   const auto kills = [](int k) {
     std::string spec;
     for (int l = 0; l < k; ++l) {
-      spec += (l > 0 ? ";" : "") + std::string("kill:locale=") +
-              std::to_string(l) + ",at=0";
+      spec += l > 0 ? ";kill:locale=" : "kill:locale=";
+      spec += std::to_string(l) + ",at=0";
     }
     return FaultSpec::parse(spec);
   };

@@ -411,8 +411,8 @@ TEST(Rebuild, SecondFailureTakingTheBuddyRethrows) {
 FaultSpec first_locales_killed(int kills) {
   std::string spec;
   for (int l = 0; l < kills; ++l) {
-    spec += (l > 0 ? ";" : "") + std::string("kill:locale=") +
-            std::to_string(l) + ",at=0";
+    spec += l > 0 ? ";kill:locale=" : "kill:locale=";
+    spec += std::to_string(l) + ",at=0";
   }
   return FaultSpec::parse(spec);
 }

@@ -39,7 +39,7 @@ namespace {
 
 /// FNV-1a accumulator over the pieces of one case.
 struct Hasher {
-  std::uint64_t h = 1469598103934665603ull;
+  std::uint64_t h = kPgbFnvBasis;
   void raw(const void* p, std::size_t n) { h = fnv1a_extend(h, p, n); }
   template <typename T>
   void pod(const T& v) {

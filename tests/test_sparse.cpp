@@ -21,6 +21,7 @@
 #include "sparse/spa.hpp"
 #include "sparse/sparse_domain.hpp"
 #include "sparse/sparse_vec.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 namespace pgb {
@@ -209,11 +210,11 @@ TEST(Coo, ToCsrPinned) {
   const auto rmat = pins::rmat_input();
   const auto dup = pins::dup_heavy_input();
   const std::uint64_t got[4] = {
-      pins::csr_hash(pins::kFnvBasis, rmat.to_csr()),
-      pins::csr_hash(pins::kFnvBasis,
+      pins::csr_hash(kFnvOffsetBasis, rmat.to_csr()),
+      pins::csr_hash(kFnvOffsetBasis,
                      rmat.to_csr(std::plus<std::int64_t>())),
-      pins::csr_hash(pins::kFnvBasis, dup.to_csr()),
-      pins::csr_hash(pins::kFnvBasis, dup.to_csr(pins::noncommutative)),
+      pins::csr_hash(kFnvOffsetBasis, dup.to_csr()),
+      pins::csr_hash(kFnvOffsetBasis, dup.to_csr(pins::noncommutative)),
   };
   const std::uint64_t want[4] = {
       0xe1e5b5dccef693b3ull, 0x3a5a22928be951b3ull, 0xf35100f703332167ull,
@@ -338,20 +339,11 @@ TEST(Spa, ForEachSortedMatchesSortedNzinds) {
 // publish charges for the merge, and pending(). A change to how the
 // overlay stores or merges its deltas must leave every literal as it is.
 
-std::uint64_t fnv_bytes(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* b = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= b[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 std::uint64_t csr_hash(const Csr<double>& m) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  h = fnv_bytes(h, m.rowptr().data(), m.rowptr().size_bytes());
-  h = fnv_bytes(h, m.colids().data(), m.colids().size_bytes());
-  return fnv_bytes(h, m.values().data(), m.values().size_bytes());
+  std::uint64_t h = kFnvOffsetBasis;
+  h = fnv1a_extend(h, m.rowptr().data(), m.rowptr().size_bytes());
+  h = fnv1a_extend(h, m.colids().data(), m.colids().size_bytes());
+  return fnv1a_extend(h, m.values().data(), m.values().size_bytes());
 }
 
 struct OverlayPin {
@@ -477,7 +469,7 @@ TEST(CsrOverlay, SeededRunMatchesMapReference) {
   };
   Csr<double> base = reference_csr();
   CsrOverlay<double> ov(&base);
-  OverlayPin run{0xcbf29ce484222325ull, 0, 0};
+  OverlayPin run{kFnvOffsetBasis, 0, 0};
   for (int i = 1; i <= 10000; ++i) {
     const Index r = static_cast<Index>(rng.next_below(nr));
     const Index c = lo + static_cast<Index>(rng.next_below(width));
@@ -497,9 +489,10 @@ TEST(CsrOverlay, SeededRunMatchesMapReference) {
     ASSERT_TRUE(std::ranges::equal(m.colids(), want.colids())) << i;
     ASSERT_TRUE(std::ranges::equal(m.values(), want.values())) << i;
     const std::int64_t pending = ov.pending();
-    run.hash = fnv_bytes(run.hash, &touched, sizeof(touched));
-    run.hash = fnv_bytes(run.hash, &pending, sizeof(pending));
-    run.hash = fnv_bytes(run.hash, m.colids().data(), m.colids().size_bytes());
+    run.hash = fnv1a_extend(run.hash, &touched, sizeof(touched));
+    run.hash = fnv1a_extend(run.hash, &pending, sizeof(pending));
+    run.hash = fnv1a_extend(run.hash, m.colids().data(),
+                            m.colids().size_bytes());
     run.touched += touched;
     run.pending += pending;
     if (i % 2000 == 0) {

@@ -12,12 +12,11 @@
 #include <tuple>
 #include <vector>
 
-#include "core/mxv_direct.hpp"
 #include "core/ops.hpp"
 #include "core/spmspv.hpp"
-#include "core/spmspv_cw.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/random_vec.hpp"
+#include "util/fnv.hpp"
 
 namespace pgb {
 namespace {
@@ -320,13 +319,8 @@ TEST(SpmspvModel, BulkGatherBeatsFineGrained) {
 std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
 
 std::uint64_t output_hash(const SparseVec<double>& v) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto word = [&](std::uint64_t w) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (w >> (8 * b)) & 0xffu;
-      h *= 0x100000001b3ull;
-    }
-  };
+  std::uint64_t h = kFnvOffsetBasis;
+  auto word = [&](std::uint64_t w) { h = fnv1a_extend(h, &w, sizeof w); };
   word(static_cast<std::uint64_t>(v.capacity()));
   word(static_cast<std::uint64_t>(v.nnz()));
   for (Index p = 0; p < v.nnz(); ++p) {
@@ -381,25 +375,17 @@ SparseVec<double> block_vec(Index lo, Index hi, Index nnz,
 TEST(SpmspvCharge, PinnedPerSortAndAlgo) {
   auto dgrid = LocaleGrid::square(16, 4);
   auto a = erdos_renyi_dist<double>(dgrid, 8000, 8.0, 31);
-  const auto mirror = make_csc_mirror(a);
   const int l = 5;  // processor (1, 1): both ranges start at 2000
   const auto& blk = a.block(l);
   ASSERT_GT(blk.rlo, 0);
   ASSERT_GT(blk.clo, 0);
   const auto sr = arithmetic_semiring<double>();
   const auto xr = block_vec(blk.rlo, blk.rhi, 300, 32);
-  const auto xc = block_vec(blk.clo, blk.chi, 300, 33);
 
   auto shm = [&](SpmspvOptions opt) {
     return local_charge([&](LocaleCtx& ctx, Trace* t) {
       return spmspv_shm(ctx, blk.csr, blk.rlo, xr, blk.clo, blk.chi, sr, opt,
                         t);
-    });
-  };
-  auto cw = [&](SpmspvOptions opt) {
-    return local_charge([&](LocaleCtx& ctx, Trace* t) {
-      return spmspv_columnwise(ctx, mirror.blocks[l], blk.clo, xc, blk.rlo,
-                               sr, opt, t);
     });
   };
   SpmspvOptions merge;
@@ -420,14 +406,6 @@ TEST(SpmspvCharge, PinnedPerSortAndAlgo) {
                 {0x3f3f8da8aba28917ull, 0x0000000000000000ull,
                  0x3f3f7ce68a7c1c73ull, 0x3f4f85479b0f52c5ull,
                  0x0cbcc4ced0e36f02ull});
-  expect_charge("columnwise/merge", cw(merge),
-                {0x3f3ff28b5d596db0ull, 0x3f40ae7ff9f02476ull,
-                 0x3f3f89e25b43367cull, 0x3f58365b6b1f3b46ull,
-                 0xda4c6289bc3505adull});
-  expect_charge("columnwise/radix", cw(radix),
-                {0x3f3ff28b5d596db0ull, 0x3f3f8fc7718027a4ull,
-                 0x3f3f89e25b43367cull, 0x3f57c30d4a8732f4ull,
-                 0xda4c6289bc3505adull});
 }
 
 // ---- the fused entry rejects what only the solo entry models -----------

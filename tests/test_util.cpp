@@ -1,14 +1,16 @@
 // Unit tests for src/util: RNG determinism, sorting kernels, prefix sums,
-// bit vectors, the CLI parser and the table printer.
+// bit vectors, the FNV-1a step, the CLI parser and the table printer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
+#include <string_view>
 #include <vector>
 
 #include "util/bitvector.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
 #include "util/prefix_sum.hpp"
 #include "util/rng.hpp"
 #include "util/sorting.hpp"
@@ -251,6 +253,21 @@ TEST(BitVector, ForEachSetWalksAscending) {
     ASSERT_EQ(static_cast<std::int64_t>(all.size()), n);
     EXPECT_EQ(all, set_bits_by_get(b));
   }
+}
+
+TEST(Fnv, MatchesPublishedVectorsAndResumes) {
+  // Test vectors of the FNV-1a 64-bit reference suite.
+  const std::string_view a = "a", foobar = "foobar";
+  EXPECT_EQ(fnv1a_extend(kFnvOffsetBasis, a.data(), a.size()),
+            0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a_extend(kFnvOffsetBasis, foobar.data(), foobar.size()),
+            0x85944171f73967e8ull);
+  // Hashing in pieces equals hashing at once; fnv1a starts from the
+  // library's basis.
+  const std::uint64_t foo = fnv1a(foobar.data(), 3);
+  EXPECT_EQ(fnv1a_extend(foo, foobar.data() + 3, 3),
+            fnv1a(foobar.data(), foobar.size()));
+  EXPECT_EQ(fnv1a(nullptr, 0), kPgbFnvBasis);
 }
 
 TEST(Cli, ParsesEqualsAndSpaceForms) {

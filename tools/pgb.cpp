@@ -11,7 +11,6 @@
 //   pgb --gen=er --n=1000000 --d=16 --op=spmspv --f=0.02 --comm=bulk
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <optional>
 #include <string>
@@ -28,6 +27,7 @@
 #include "gen/random_vec.hpp"
 #include "io/matrix_market.hpp"
 #include "util/cli.hpp"
+#include "util/fnv.hpp"
 #include "util/table.hpp"
 
 using namespace pgb;
@@ -288,19 +288,13 @@ int run(int argc, char** argv) {
     // FNV over the output's (index, value-bits) stream: a printed
     // content hash, so CI can diff the result across comm schedules —
     // every schedule must produce byte-identical output.
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t v) {
-      for (int byte = 0; byte < 8; ++byte) {
-        h = (h ^ ((v >> (8 * byte)) & 0xff)) * 1099511628211ull;
-      }
-    };
+    std::uint64_t h = kPgbFnvBasis;
     const auto yl = y.to_local();
     for (Index p = 0; p < yl.nnz(); ++p) {
-      mix(static_cast<std::uint64_t>(yl.index_at(p)));
-      double dv = yl.value_at(p);
-      std::uint64_t bits;
-      std::memcpy(&bits, &dv, sizeof(bits));
-      mix(bits);
+      const Index i = yl.index_at(p);
+      const double v = yl.value_at(p);
+      h = fnv1a_extend(h, &i, sizeof(i));
+      h = fnv1a_extend(h, &v, sizeof(v));
     }
     std::printf("spmspv: nnz(x)=%lld -> nnz(y)=%lld hash=%016llx\n",
                 static_cast<long long>(x.nnz()),
