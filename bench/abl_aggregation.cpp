@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
     std::int64_t best_agg_msgs = 0;
     for (std::int64_t cap : capacities) {
       SpmspvOptions opt = base.with_comm(CommMode::kAggregated);
-      opt.agg.capacity = cap;
+      opt.agg_capacity = cap;
       auto [t_agg, cs_agg, y_agg] = run(opt);
       samples.push_back({nodes, "agg", cap, t_agg, cs_agg.messages,
                          cs_agg.bytes, cs_agg.agg_flushes});

@@ -70,8 +70,7 @@ int main(int argc, char** argv) {
     SpmspvOptions fine;
     const double t_fine = run(grid, a, x, fine, &g0, &s0);
     SpmspvOptions bulk;
-    bulk.bulk_gather = true;
-    bulk.bulk_scatter = true;
+    bulk.comm = CommMode::kBulk;
     const double t_bulk = run(grid, a, x, bulk, &g1, &s1);
     SpmspvOptions coll;
     coll.use_collectives = true;

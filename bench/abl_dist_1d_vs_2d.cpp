@@ -27,8 +27,7 @@ double run(GridConfig cfg, Index n, double f, bool bulk) {
   auto x = random_dist_sparse_vec<std::int64_t>(
       grid, n, static_cast<Index>(f * static_cast<double>(n)), 6);
   SpmspvOptions opt;
-  opt.bulk_gather = bulk;
-  opt.bulk_scatter = bulk;
+  opt.comm = bulk ? CommMode::kBulk : CommMode::kFine;
   grid.reset();
   spmspv_dist(a, x, arithmetic_semiring<std::int64_t>(), opt);
   return grid.time();

@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
   p.edge_factor = 8;
 
   SpmspvOptions bulk;
-  bulk.bulk_gather = true;
-  bulk.bulk_scatter = true;
+  bulk.comm = CommMode::kBulk;
 
   Table t({"nodes", "imbalance before", "imbalance after", "BFS before",
            "BFS after"});

@@ -61,8 +61,7 @@ int main(int argc, char** argv) {
     const double t_fine = grid.time();
 
     SpmspvOptions bulk;
-    bulk.bulk_gather = true;
-    bulk.bulk_scatter = true;
+    bulk.comm = CommMode::kBulk;
     grid.reset();
     auto fast = bfs(a, /*source=*/0, bulk);
     const double t_bulk = grid.time();

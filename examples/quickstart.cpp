@@ -73,8 +73,7 @@ int main() {
   // --- the same SpMSpV with bulk communication (the paper's suggested
   //     remedy for the fine-grained traffic) ---
   SpmspvOptions bulk;
-  bulk.bulk_gather = true;
-  bulk.bulk_scatter = true;
+  bulk.comm = CommMode::kBulk;
   grid.reset();
   auto y2 = spmspv_dist(a, filtered, arithmetic_semiring<double>(), bulk);
   std::printf("spmspv (bulk comm):       modeled %s   (same result: %s)\n",

@@ -41,8 +41,7 @@ int main(int argc, char** argv) {
   const double t_fine = grid.time();
 
   SpmspvOptions bulk;
-  bulk.bulk_gather = true;
-  bulk.bulk_scatter = true;
+  bulk.comm = CommMode::kBulk;
   grid.reset();
   auto res2 = sssp(a, source, bulk);
   const double t_bulk = grid.time();

@@ -411,10 +411,10 @@ GrB_Info pgb_service_open_ex(int queue_depth, int batch_max,
     pgb::ServiceConfig cfg;
     cfg.queue_depth = queue_depth;
     cfg.batch_max = batch_max;
-    cfg.tenant_quota_qps = tenant_quota_qps;
-    cfg.tenant_quota_burst = tenant_quota_burst;
-    cfg.breaker_k = breaker_k;
-    cfg.breaker_cooldown_s = breaker_cooldown_s;
+    cfg.governor.quota_qps = tenant_quota_qps;
+    cfg.governor.quota_burst = tenant_quota_burst;
+    cfg.governor.breaker_k = breaker_k;
+    cfg.governor.breaker_cooldown_s = breaker_cooldown_s;
     g_service = std::make_unique<pgb::GraphService>(*g_grid, cfg);
   });
 }

@@ -159,7 +159,7 @@ void assign(DistSparseVec<T>& a, const DistSparseVec<T>& b,
                  .shape = SiteShape::kRoute,
                  .bytes_each = 8,
                  .fanout = std::max(pairs, 1)},
-                comm, {}, [&](SiteFootprint& fp) {
+                comm, kAggCapacity, [&](SiteFootprint& fp) {
                   std::int64_t remote_nnz = 0;
                   for (int l = 1; l < nloc; ++l) remote_nnz += b.local(l).nnz();
                   fp.add_initiator(pairs, remote_nnz);  // the master's load

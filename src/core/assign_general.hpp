@@ -11,8 +11,9 @@
 // I is a global index map (|I| = capacity of B / Z). In distributed
 // memory every B entry is routed to the owner of its target index — the
 // communication pattern [8] analyzes. The schedule is selectable
-// (CommMode): per-element messages, one bulk batch per destination
-// (default, the historical behaviour), or conveyor-style aggregation.
+// (CommMode): per-element messages, one bulk batch per destination (the
+// default), conveyor-style aggregation of `agg_capacity` elements per
+// flush, or the inspector's choice (kAuto).
 // Entries of A at assigned positions are overwritten; other entries are
 // kept (merge semantics) or dropped (replace semantics) per descriptor.
 #pragma once
@@ -37,7 +38,7 @@ void assign_indexed(DistSparseVec<T>& a, const std::vector<Index>& index_map,
                     const DistSparseVec<T>& b,
                     OutputMode mode = OutputMode::kMerge,
                     CommMode comm = CommMode::kBulk,
-                    const AggConfig& agg_cfg = {}) {
+                    std::int64_t agg_capacity = kAggCapacity) {
   PGB_REQUIRE_SHAPE(&a.grid() == &b.grid(),
                     "assign_indexed: operands on different grids");
   PGB_REQUIRE(static_cast<Index>(index_map.size()) == b.capacity(),
@@ -55,7 +56,7 @@ void assign_indexed(DistSparseVec<T>& a, const std::vector<Index>& index_map,
   // Destinations depend on the index map, so under kAuto each initiator
   // is priced against every other locale.
   CommSite site(grid, {.name = "assign.indexed", .shape = SiteShape::kRoute},
-                comm, agg_cfg, [&](SiteFootprint& fp) {
+                comm, agg_capacity, [&](SiteFootprint& fp) {
                   for (int l = 0; l < nloc; ++l) {
                     fp.add_initiator(nloc - 1, b.local(l).nnz());
                   }
@@ -147,7 +148,7 @@ template <typename T>
 DistSparseVec<T> extract_indexed(const DistSparseVec<T>& a,
                                  const std::vector<Index>& index_map,
                                  CommMode comm = CommMode::kBulk,
-                                 const AggConfig& agg_cfg = {}) {
+                                 std::int64_t agg_capacity = kAggCapacity) {
   auto& grid = a.grid();
   const int nloc = grid.num_locales();
   grid.metrics().counter("kernel.calls", {{"kernel", "extract_indexed"}}).inc();
@@ -166,7 +167,7 @@ DistSparseVec<T> extract_indexed(const DistSparseVec<T>& a,
        .shape = SiteShape::kPull,
        .bytes_each = 24,  // 8 request + 16 response per pull
        .read_only = true},
-      comm, agg_cfg, [&](SiteFootprint& fp) {
+      comm, agg_capacity, [&](SiteFootprint& fp) {
         std::int64_t a_nnz = 0;
         for (int o = 0; o < nloc; ++o) a_nnz += a.local(o).nnz();
         fp.chain_rts =

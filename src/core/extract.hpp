@@ -58,7 +58,7 @@ DistSparseVec<T> extract_range(const DistSparseVec<T>& x, Index lo,
 template <typename T>
 DistSparseVec<T> extract_compact(const DistSparseVec<T>& x, Index lo,
                                  Index hi, CommMode comm = CommMode::kBulk,
-                                 const AggConfig& agg_cfg = {}) {
+                                 std::int64_t agg_capacity = kAggCapacity) {
   PGB_REQUIRE(lo >= 0 && hi <= x.capacity() && lo <= hi,
               "extract_compact: bad range");
   auto& grid = x.grid();
@@ -72,7 +72,7 @@ DistSparseVec<T> extract_compact(const DistSparseVec<T>& x, Index lo,
   // load every candidate schedule is priced from.
   CommSite site(
       grid, {.name = "extract.compact", .shape = SiteShape::kRoute},
-      comm, agg_cfg, [&](SiteFootprint& fp) {
+      comm, agg_capacity, [&](SiteFootprint& fp) {
         std::int64_t x_nnz = 0;
         for (int l = 0; l < nloc; ++l) x_nnz += x.local(l).nnz();
         const double frac = x.capacity() > 0

@@ -21,19 +21,18 @@
 //               opts.comm picks the schedule: kBulk makes one bulk get
 //               per piece (the paper's suggested bulk-synchronous
 //               remedy), kAggregated and kAuto as in runtime/
-//               comm_site.hpp; the legacy opts.bulk_gather upgrades
-//               kFine to kBulk for this phase only. Each locale is
-//               charged its gather; the host builds a row's input once
-//               and the row's locales share it.
+//               comm_site.hpp. Each locale is charged its gather; the
+//               host builds a row's input once and the row's locales
+//               share it.
 //   2. Local:   spmspv_shm on the local block.
 //   3. Scatter: partial outputs are accumulated into the 1-D distributed
 //               result; the paper writes one element at a time into a
 //               global atomic "isthere" array. opts.comm picks the
-//               schedule here too (kBulk batches per destination), and
-//               the legacy opts.bulk_scatter upgrades kFine to kBulk for
-//               this phase only. Each initiator is charged its
-//               elements; on the host every owner then adds the runs
-//               bound for it, in initiator order (runtime/comm_site.hpp).
+//               schedule here too (kBulk batches per destination; kAuto
+//               binds this site apart from the gather). Each initiator
+//               is charged its elements; on the host every owner then
+//               adds the runs bound for it, in initiator order
+//               (runtime/comm_site.hpp).
 //
 // spmspv_dist_multi runs the same three phases for k frontier lanes at
 // once (one wave, detail::spmspv_wave): the lanes share each phase's
@@ -83,13 +82,12 @@ struct SpmspvOptions {
   SortAlgo sort = SortAlgo::kMerge;  ///< sort kSpaSort is charged for
   /// Communication schedule for gather and scatter: fine-grained
   /// element-by-element (the paper's Listing 8), one hand-rolled bulk
-  /// transfer per peer, or conveyor-style aggregation (per-peer buffers
-  /// flushed as capacity-sized bulks; see runtime/aggregator.hpp).
+  /// transfer per peer, conveyor-style aggregation (per-peer buffers
+  /// flushed as capacity-sized bulks; see runtime/aggregator.hpp), or
+  /// the inspector's choice, made for each phase on its own.
   CommMode comm = CommMode::kFine;
-  /// Buffering parameters when comm == CommMode::kAggregated.
-  AggConfig agg;
-  bool bulk_gather = false;   ///< legacy flag: batch the gather
-  bool bulk_scatter = false;  ///< legacy flag: batch the scatter
+  /// Elements per aggregator flush when comm == CommMode::kAggregated.
+  std::int64_t agg_capacity = kAggCapacity;
   /// Use tree collectives (allgather along processor rows for the input,
   /// reduce-scatter along processor columns for the output) instead of
   /// point-to-point transfers — the facility the paper's Section IV asks
@@ -103,15 +101,6 @@ struct SpmspvOptions {
   /// gathered inputs (thief-pays work stealing). Results are unchanged —
   /// only modeled charging moves between clocks.
   double straggler_shed = 0.0;
-
-  /// The gather's and the scatter's schedule: a legacy per-phase flag
-  /// upgrades kFine to kBulk.
-  CommMode gather_comm() const {
-    return comm == CommMode::kFine && bulk_gather ? CommMode::kBulk : comm;
-  }
-  CommMode scatter_comm() const {
-    return comm == CommMode::kFine && bulk_scatter ? CommMode::kBulk : comm;
-  }
 
   /// Convenience for sweeps: this options set with another schedule.
   SpmspvOptions with_comm(CommMode m) const {
@@ -377,56 +366,6 @@ inline void count_phase_comm(LocaleGrid& grid, const char* phase,
       .inc(cs1.bytes - cs0.bytes);
 }
 
-/// Owner-side accumulate after an accumulate scatter: adds the runs of
-/// lane `lane` that the initiators recorded for owner `o` into `spa`, in
-/// initiator order, reading initiator l's sorted output of that lane
-/// from part(l). Each slot sees the same sequence of adds as
-/// per-element delivery in the serial loop.
-template <typename T, typename SR, typename Part>
-void accumulate_runs(const CommSite& site, int o, int lane, Spa<T>& spa,
-                     Part&& part, const SR& sr) {
-  for (const AccumRun& r : site.runs_to(o)) {
-    if (r.lane != lane) continue;
-    const SparseVec<T>& v = part(r.from);
-    for (Index p = r.begin; p < r.end; ++p) {
-      spa.accumulate(v.index_at(p), v.value_at(p), sr.add);
-    }
-  }
-}
-
-/// Owner-side finalize of an accumulate scatter: owner ctx.locale()
-/// turns its dense accumulator into its sorted piece of the result (the
-/// paper's denseToSparse scan), dropping entries that fail `mask`.
-template <typename T>
-SparseVec<T> finalize_owner(LocaleCtx& ctx, const Spa<T>& spa,
-                            Index local_size,
-                            const DistDenseVec<std::uint8_t>* mask,
-                            MaskMode mask_mode) {
-  const int o = ctx.locale();
-  std::vector<Index> idx;
-  std::vector<T> val;
-  idx.reserve(static_cast<std::size_t>(spa.nnz()));
-  val.reserve(static_cast<std::size_t>(spa.nnz()));
-  spa.for_each_sorted([&](Index j) {
-    if (mask != nullptr && mask_mode != MaskMode::kNone) {
-      const bool set = mask->local(o)[j] != 0;
-      if (mask_mode == MaskMode::kMask ? !set : set) return;
-    }
-    idx.push_back(j);
-    val.push_back(spa.value(j));
-  });
-  CostVector c;
-  if (mask != nullptr) {
-    c.add(CostKind::kRandAccess, 0.25 * static_cast<double>(spa.nnz()));
-  }
-  c.add(CostKind::kStreamBytes, 1.0 * static_cast<double>(local_size));
-  c.add(CostKind::kStreamBytes, 24.0 * static_cast<double>(idx.size()));
-  c.add(CostKind::kCpuOps, 8.0 * static_cast<double>(idx.size()));
-  ctx.parallel_region(c);
-  return SparseVec<T>::from_sorted(local_size, std::move(idx),
-                                   std::move(val));
-}
-
 /// Processor row `prow`'s gathered input: the x pieces of its pc
 /// members, concatenated in member order, as a vector of capacity
 /// `rows` (the row block's height).
@@ -511,7 +450,7 @@ std::vector<DistSparseVec<T>> spmspv_wave(
        .chain_rts = kRemoteElemRts + 1.0,
        .lanes = k,
        .collective = opt.use_collectives},
-      opt.gather_comm(), opt.agg,
+      opt.comm, opt.agg_capacity,
       [&](SiteFootprint& fp) { add_row_gather_load(grid, fp, lanes_nnz); });
   obs::GridSpan gather_span(grid, "spmspv.gather");
   CommStats cs0 = grid.comm_stats();
@@ -623,7 +562,7 @@ std::vector<DistSparseVec<T>> spmspv_wave(
        .bytes_each = wire_bytes,
        .fanout = pr,
        .collective = opt.use_collectives},
-      opt.scatter_comm(), opt.agg, [&](SiteFootprint& fp) {
+      opt.comm, opt.agg_capacity, [&](SiteFootprint& fp) {
         const std::int64_t pairs = std::min<std::int64_t>(nloc - 1, pr);
         for (int l = 0; l < nloc; ++l) {
           std::int64_t elems = 0;
@@ -659,19 +598,49 @@ std::vector<DistSparseVec<T>> spmspv_wave(
     }
     grid.barrier_all();
   }
-  // Each owner accumulates and finalizes one lane at a time, in one SPA.
+  // Each owner takes one lane at a time. It adds the runs bound for it
+  // into one SPA in initiator order, so each slot sees the adds
+  // per-element delivery made, in the same order. It then scans the SPA
+  // into its sorted piece of the result (the paper's denseToSparse),
+  // dropping entries that fail the lane's mask.
   scatter_site.group_runs();
   grid.coforall_compute([&](LocaleCtx& ctx) {
     const int o = ctx.locale();
     for (int q = 0; q < k; ++q) {
-      Spa<T> spa(y[q].dist().lo(o), y[q].dist().hi(o));
-      accumulate_runs(
-          scatter_site, o, q, spa,
-          [&](int l) -> const SparseVec<T>& { return ly[q * nloc + l]; },
-          sr);
-      y[q].local(o) = finalize_owner(ctx, spa, y[q].dist().local_size(o),
-                                     masks.empty() ? nullptr : masks[q],
-                                     mask_mode);
+      const auto& dist = y[q].dist();
+      Spa<T> spa(dist.lo(o), dist.hi(o));
+      for (const AccumRun& r : scatter_site.runs_to(o)) {
+        if (r.lane != q) continue;
+        const SparseVec<T>& v = ly[q * nloc + r.from];
+        for (Index p = r.begin; p < r.end; ++p) {
+          spa.accumulate(v.index_at(p), v.value_at(p), sr.add);
+        }
+      }
+      const DistDenseVec<std::uint8_t>* mask =
+          masks.empty() ? nullptr : masks[q];
+      std::vector<Index> idx;
+      std::vector<T> val;
+      idx.reserve(static_cast<std::size_t>(spa.nnz()));
+      val.reserve(static_cast<std::size_t>(spa.nnz()));
+      spa.for_each_sorted([&](Index j) {
+        if (mask != nullptr && mask_mode != MaskMode::kNone) {
+          const bool set = mask->local(o)[j] != 0;
+          if (mask_mode == MaskMode::kMask ? !set : set) return;
+        }
+        idx.push_back(j);
+        val.push_back(spa.value(j));
+      });
+      CostVector c;
+      if (mask != nullptr) {
+        c.add(CostKind::kRandAccess, 0.25 * static_cast<double>(spa.nnz()));
+      }
+      c.add(CostKind::kStreamBytes,
+            1.0 * static_cast<double>(dist.local_size(o)));
+      c.add(CostKind::kStreamBytes, 24.0 * static_cast<double>(idx.size()));
+      c.add(CostKind::kCpuOps, 8.0 * static_cast<double>(idx.size()));
+      ctx.parallel_region(c);
+      y[q].local(o) = SparseVec<T>::from_sorted(
+          dist.local_size(o), std::move(idx), std::move(val));
     }
   });
   scatter_span.end();

@@ -133,8 +133,6 @@ struct IngestOptions {
   /// Pending overlay entries (summed over locales) that trigger
   /// compaction into a fresh base at the next publish.
   std::int64_t compact_every = 8192;
-  /// Aggregation knobs for the delta routing path.
-  AggConfig agg;
 };
 
 struct IngestStats {
@@ -436,8 +434,7 @@ class IngestStream {
           [&](int peer, std::vector<RoutedDelta>& b) {
             auto& s = staged_[static_cast<std::size_t>(peer)];
             s.insert(s.end(), b.begin(), b.end());
-          },
-          opt_.agg);
+          });
       std::int64_t mine = 0;
       for (std::size_t i = static_cast<std::size_t>(l);
            i < batch.deltas.size(); i += static_cast<std::size_t>(n)) {

@@ -28,10 +28,11 @@ CommMode parse_comm_mode(const std::string& s) {
       s);
 }
 
-AggChannel::AggChannel(LocaleCtx& ctx, AggConfig cfg)
-    : ctx_(ctx), cfg_(cfg) {
-  PGB_REQUIRE(cfg_.capacity >= 1, "aggregator capacity must be positive");
-  PGB_REQUIRE(cfg_.contention >= 1.0, "contention multiplier must be >= 1");
+AggChannel::AggChannel(LocaleCtx& ctx, std::int64_t capacity,
+                       double contention)
+    : ctx_(ctx), capacity_(capacity), contention_(contention) {
+  PGB_REQUIRE(capacity_ >= 1, "aggregator capacity must be positive");
+  PGB_REQUIRE(contention_ >= 1.0, "contention multiplier must be >= 1");
   auto& grid = ctx.grid();
   epoch_ = grid.epoch();
   // The first channel registers the agg.* family; a coforall_compute
@@ -148,7 +149,7 @@ void AggChannel::flush_put(int peer, std::int64_t bytes,
   const int colo = grid.colocated();
   const auto& net = grid.net();
   const double cost = net.round_trip(kAggHeaderBytes, intra, colo) +
-                      cfg_.contention * net.bulk(bytes, intra, colo);
+                      contention_ * net.bulk(bytes, intra, colo);
   // Header round trip (2 one-way messages) + the payload bulk.
   issue(peer, cost, 3, bytes, /*is_get=*/false, elems);
 }
@@ -164,10 +165,10 @@ void AggChannel::flush_get(int peer, std::int64_t req_bytes,
   const int colo = grid.colocated();
   const auto& net = grid.net();
   double cost = net.round_trip(kAggHeaderBytes, intra, colo) +
-                cfg_.contention * net.bulk(resp_bytes, intra, colo);
+                contention_ * net.bulk(resp_bytes, intra, colo);
   std::int64_t msgs = 3;  // header round trip + response bulk
   if (req_bytes > 0) {
-    cost += cfg_.contention * net.bulk(req_bytes, intra, colo);
+    cost += contention_ * net.bulk(req_bytes, intra, colo);
     ++msgs;  // the request-batch bulk
   }
   issue(peer, cost, msgs, req_bytes + resp_bytes, /*is_get=*/true, elems);
@@ -179,8 +180,8 @@ void AggChannel::get_elems(int peer, std::int64_t count,
     return;
   }
   stats_.pushed += count;
-  for (std::int64_t left = count; left > 0; left -= cfg_.capacity) {
-    const std::int64_t chunk = std::min(left, cfg_.capacity);
+  for (std::int64_t left = count; left > 0; left -= capacity_) {
+    const std::int64_t chunk = std::min(left, capacity_);
     flush_get(peer, 0, chunk * bytes_each, chunk);
   }
 }

@@ -65,17 +65,9 @@ CommMode parse_comm_mode(const std::string& s);
 /// Bytes of an aggregator flush's header (count + base address).
 inline constexpr std::int64_t kAggHeaderBytes = 8;
 
-/// Tuning knobs of one aggregator.
-struct AggConfig {
-  /// Elements buffered per peer before a capacity-triggered flush.
-  std::int64_t capacity = 2048;
-  /// Receiver-side serialization: the effective transfer cost is scaled
-  /// by this factor when several locales converge on one peer (same
-  /// convention as the hand-rolled bulk paths).
-  double contention = 1.0;
-  /// Modeled response payload per element of a SrcAggregator flush.
-  std::int64_t resp_bytes_each = 8;
-};
+/// Elements an aggregator buffers per peer before a capacity-triggered
+/// flush, unless its caller says otherwise.
+inline constexpr std::int64_t kAggCapacity = 2048;
 
 /// Per-aggregator counters, reported by benches as the message-count
 /// reduction of aggregation. Self-peer traffic never reaches the network
@@ -106,9 +98,13 @@ struct AggregatorStats {
 /// aggregated schedule even under chaos.
 class AggChannel {
  public:
-  AggChannel(LocaleCtx& ctx, AggConfig cfg);
+  /// Flushes at most `capacity` elements at a time. `contention` models
+  /// receiver-side serialization: each transfer's cost is scaled by it
+  /// when several locales converge on one peer (the same convention as
+  /// the hand-rolled bulk paths).
+  AggChannel(LocaleCtx& ctx, std::int64_t capacity, double contention = 1.0);
 
-  const AggConfig& config() const { return cfg_; }
+  std::int64_t capacity() const { return capacity_; }
   const AggregatorStats& stats() const { return stats_; }
   LocaleCtx& ctx() { return ctx_; }
 
@@ -138,7 +134,8 @@ class AggChannel {
              bool is_get, std::int64_t elems);
 
   LocaleCtx& ctx_;
-  AggConfig cfg_;
+  std::int64_t capacity_;
+  double contention_;
   AggregatorStats stats_;
   double inflight_end_ = 0.0;  ///< sim time the queued transfers complete
   /// Epoch guard: a channel constructed before a grid.reset() must not
@@ -212,8 +209,9 @@ class DstAggregator {
  public:
   using DeliverFn = std::function<void(int peer, std::vector<T>& batch)>;
 
-  DstAggregator(LocaleCtx& ctx, DeliverFn deliver, AggConfig cfg = {})
-      : chan_(ctx, cfg), deliver_(std::move(deliver)) {}
+  DstAggregator(LocaleCtx& ctx, DeliverFn deliver,
+                std::int64_t capacity = kAggCapacity)
+      : chan_(ctx, capacity), deliver_(std::move(deliver)) {}
 
   DstAggregator(const DstAggregator&) = delete;
   DstAggregator& operator=(const DstAggregator&) = delete;
@@ -224,7 +222,7 @@ class DstAggregator {
     chan_.count_push();
     auto& b = buf_.at(peer);
     b.push_back(std::move(item));
-    if (static_cast<std::int64_t>(b.size()) >= chan_.config().capacity) {
+    if (static_cast<std::int64_t>(b.size()) >= chan_.capacity()) {
       flush(peer);
     }
   }
@@ -260,8 +258,9 @@ class DstAggregator {
 /// so does flush_all().
 class PutCounts {
  public:
-  PutCounts(LocaleCtx& ctx, AggConfig cfg, std::int64_t elem_bytes)
-      : chan_(ctx, cfg), elem_bytes_(elem_bytes) {}
+  PutCounts(LocaleCtx& ctx, std::int64_t capacity, double contention,
+            std::int64_t elem_bytes)
+      : chan_(ctx, capacity, contention), elem_bytes_(elem_bytes) {}
 
   PutCounts(const PutCounts&) = delete;
   PutCounts& operator=(const PutCounts&) = delete;
@@ -273,7 +272,7 @@ class PutCounts {
     std::int64_t& fill = fill_.at(peer);
     fill += n;
     // A buffer ships the moment it reaches capacity.
-    const std::int64_t cap = chan_.config().capacity;
+    const std::int64_t cap = chan_.capacity();
     for (; fill >= cap; fill -= cap) flush_put(peer, cap);
   }
 
@@ -304,14 +303,18 @@ class PutCounts {
 /// Buffered remote gets. `T` is the request record (e.g. {output slot,
 /// remote index}); `deliver(peer, batch)` resolves a request batch
 /// against the peer's data and stores the results — the response payload
-/// is modeled as `AggConfig::resp_bytes_each` per request.
+/// is modeled as `resp_bytes_each` per request.
 template <typename T>
 class SrcAggregator {
  public:
   using DeliverFn = std::function<void(int peer, std::vector<T>& batch)>;
 
-  SrcAggregator(LocaleCtx& ctx, DeliverFn deliver, AggConfig cfg = {})
-      : chan_(ctx, cfg), deliver_(std::move(deliver)) {}
+  SrcAggregator(LocaleCtx& ctx, DeliverFn deliver,
+                std::int64_t capacity = kAggCapacity, double contention = 1.0,
+                std::int64_t resp_bytes_each = 8)
+      : chan_(ctx, capacity, contention),
+        deliver_(std::move(deliver)),
+        resp_bytes_each_(resp_bytes_each) {}
 
   SrcAggregator(const SrcAggregator&) = delete;
   SrcAggregator& operator=(const SrcAggregator&) = delete;
@@ -322,7 +325,7 @@ class SrcAggregator {
     chan_.count_push();
     auto& b = buf_.at(peer);
     b.push_back(std::move(request));
-    if (static_cast<std::int64_t>(b.size()) >= chan_.config().capacity) {
+    if (static_cast<std::int64_t>(b.size()) >= chan_.capacity()) {
       flush(peer);
     }
   }
@@ -332,7 +335,7 @@ class SrcAggregator {
     if (b == nullptr || b->empty()) return;
     const auto n = static_cast<std::int64_t>(b->size());
     chan_.flush_get(peer, n * static_cast<std::int64_t>(sizeof(T)),
-                    n * chan_.config().resp_bytes_each, n);
+                    n * resp_bytes_each_, n);
     deliver_(peer, *b);
     b->clear();
   }
@@ -347,6 +350,7 @@ class SrcAggregator {
  private:
   AggChannel chan_;
   DeliverFn deliver_;
+  std::int64_t resp_bytes_each_;
   PeerBuffers<T> buf_;
 };
 

@@ -111,17 +111,14 @@ class CommSite {
   /// `load(fp)` adds each initiator's remote load with
   /// SiteFootprint::add_initiator — it may also refine chain_rts or
   /// block_bytes — and the grid's inspector prices the footprint; fixed
-  /// modes never call `load`. `agg` supplies the aggregator knobs; the
-  /// site sets the contention (the fanout) and, under kAuto, the
-  /// capacity.
+  /// modes never call `load`. `agg_capacity` is the aggregator capacity
+  /// of the aggregated schedule; under kAuto the decision's replaces it.
+  /// The site's aggregators take the fanout as their contention.
   template <typename Load>
   CommSite(LocaleGrid& grid, const SiteSpec& spec, CommMode mode,
-           const AggConfig& agg, Load&& load)
-      : grid_(grid), spec_(spec), name_(spec.name), agg_(agg) {
-    agg_.contention = static_cast<double>(spec.fanout);
-    if (spec.shape == SiteShape::kPull) {
-      agg_.resp_bytes_each = spec.bytes_each - kPullRequestBytes;
-    }
+           std::int64_t agg_capacity, Load&& load)
+      : grid_(grid), spec_(spec), name_(spec.name),
+        agg_capacity_(agg_capacity) {
     strategy_ = mode == CommMode::kBulk         ? SiteStrategy::kBulk
                 : mode == CommMode::kAggregated ? SiteStrategy::kAggregated
                                                 : SiteStrategy::kFine;
@@ -135,7 +132,7 @@ class CommSite {
       }
       const SiteDecision d = insp_->decide(name_, fp);
       strategy_ = d.strategy;
-      agg_.capacity = d.agg_capacity;
+      agg_capacity_ = d.agg_capacity;
     }
     if (spec.shape == SiteShape::kAccumulate) {
       sent_.resize(static_cast<std::size_t>(grid.num_locales()));
@@ -252,6 +249,9 @@ class CommSite {
     return strategy_ == SiteStrategy::kAggregated && !spec_.collective;
   }
 
+  /// Receiver-side contention of every schedule: the fanout.
+  double contention() const { return static_cast<double>(spec_.fanout); }
+
   /// A logical peer living on `self_host` after a degraded-mode remap.
   bool co_hosted(int self_host, int peer) const {
     return grid_.membership().remapped() && grid_.host_of(peer) == self_host;
@@ -286,7 +286,7 @@ class CommSite {
   LocaleGrid& grid_;
   SiteSpec spec_;
   std::string name_;
-  AggConfig agg_;
+  std::int64_t agg_capacity_;
   SiteStrategy strategy_ = SiteStrategy::kFine;
   Inspector* insp_ = nullptr;  ///< non-null under kAuto only
   double t0_ = 0.0;
@@ -302,7 +302,10 @@ class CommSite {
 class CommSite::Gather {
  public:
   Gather(CommSite& site, LocaleCtx& ctx)
-      : site_(site), ctx_(ctx), self_host_(ctx.host()), chan_(ctx, site.agg_) {}
+      : site_(site),
+        ctx_(ctx),
+        self_host_(ctx.host()),
+        chan_(ctx, site.agg_capacity_, site.contention()) {}
 
   /// Charges reading `elems` elements from `src`. A source that is this
   /// locale or co-hosted with it is local memory and costs nothing here.
@@ -370,7 +373,9 @@ class CommSite::Scatter {
  public:
   Scatter(CommSite& site, LocaleCtx& ctx, std::int64_t elem_bytes)
       : site_(site), ctx_(ctx), self_host_(ctx.host()) {
-    if (site.aggregated()) agg_.emplace(ctx, site.agg_, elem_bytes);
+    if (site.aggregated()) {
+      agg_.emplace(ctx, site.agg_capacity_, site.contention(), elem_bytes);
+    }
   }
 
   Scatter(const Scatter&) = delete;
@@ -534,7 +539,8 @@ class CommSite::Pull {
           [this](int peer, std::vector<Req>& batch) {
             for (const Req& r : batch) resolve_(peer, r);
           },
-          site.agg_);
+          site.agg_capacity_, site.contention(),
+          site.spec_.bytes_each - kPullRequestBytes);
     }
   }
 

@@ -175,9 +175,11 @@ struct SiteReport {
 /// `LocaleGrid::inspector()` re-binds the registry/model/membership
 /// pointers on every access so a moved grid never leaves them dangling.
 ///
-/// Thread-safety: none needed — only comm sites consult it, and they run
-/// on the serial `coforall_locales` loop (a `coforall_compute` body may
-/// not communicate).
+/// Thread-safety: none needed. `coforall_compute` bodies may
+/// communicate, but only a comm site touches the inspector: it decides
+/// and observes on the calling thread, and the one wave whose bodies
+/// read and fill the replica cache, a replicating one, keeps the serial
+/// loop (CommSite::coforall).
 class Inspector {
  public:
   Inspector() = default;

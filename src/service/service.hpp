@@ -72,16 +72,8 @@ struct ServiceConfig {
   ResilienceOptions resilience;
   /// Optional recovery telemetry sink (filled by the resilient driver).
   RecoveryReport* report = nullptr;
-  /// Per-tenant sustained admission rate (queries per simulated second);
-  /// 0 disables quotas.
-  double tenant_quota_qps = 0.0;
-  /// Token-bucket burst capacity per tenant.
-  double tenant_quota_burst = 8.0;
-  /// Consecutive per-tenant failures (expiries + queue-full rejections)
-  /// that trip its circuit breaker; 0 disables the breaker.
-  int breaker_k = 0;
-  /// Simulated seconds an open breaker holds before a half-open probe.
-  double breaker_cooldown_s = 0.05;
+  /// Per-tenant admission quota and circuit breaker.
+  TenantGovernorConfig governor;
   /// Floor for the suggested retry-after on queue-full (simulated s).
   double retry_floor_s = 1e-3;
   /// Compaction threshold: the released (terminal + polled) record
@@ -114,17 +106,16 @@ class GraphService {
       : grid_(grid),
         cfg_(cfg),
         queue_(static_cast<std::size_t>(cfg.queue_depth), &grid.metrics()),
-        governor_(TenantGovernorConfig{cfg.tenant_quota_qps,
-                                       cfg.tenant_quota_burst, cfg.breaker_k,
-                                       cfg.breaker_cooldown_s}) {
+        governor_(cfg.governor) {
     PGB_REQUIRE(cfg.queue_depth >= 1, "service: queue_depth must be >= 1");
     PGB_REQUIRE(cfg.batch_max >= 1, "service: batch_max must be >= 1");
-    PGB_REQUIRE(cfg.tenant_quota_qps >= 0.0,
+    PGB_REQUIRE(cfg.governor.quota_qps >= 0.0,
                 "service: tenant_quota_qps must be >= 0");
-    PGB_REQUIRE(cfg.tenant_quota_burst >= 1.0,
+    PGB_REQUIRE(cfg.governor.quota_burst >= 1.0,
                 "service: tenant_quota_burst must be >= 1");
-    PGB_REQUIRE(cfg.breaker_k >= 0, "service: breaker_k must be >= 0");
-    PGB_REQUIRE(cfg.breaker_cooldown_s > 0.0,
+    PGB_REQUIRE(cfg.governor.breaker_k >= 0,
+                "service: breaker_k must be >= 0");
+    PGB_REQUIRE(cfg.governor.breaker_cooldown_s > 0.0,
                 "service: breaker_cooldown_s must be > 0");
     PGB_REQUIRE(cfg.retry_floor_s > 0.0,
                 "service: retry_floor_s must be > 0");

@@ -80,23 +80,4 @@ std::vector<std::int64_t> sorted_union(std::span<const std::int64_t> a,
   return out;
 }
 
-std::vector<std::int64_t> sorted_intersection(
-    std::span<const std::int64_t> a, std::span<const std::int64_t> b) {
-  std::vector<std::int64_t> out;
-  out.reserve(std::min(a.size(), b.size()));
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out.push_back(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
 }  // namespace pgb

@@ -37,10 +37,6 @@ void sort_pairs_by_index(std::vector<std::int64_t>& idx, std::vector<T>& val);
 std::vector<std::int64_t> sorted_union(std::span<const std::int64_t> a,
                                        std::span<const std::int64_t> b);
 
-/// Intersection of two sorted index lists.
-std::vector<std::int64_t> sorted_intersection(std::span<const std::int64_t> a,
-                                              std::span<const std::int64_t> b);
-
 // ---- implementation of templates ----
 
 template <typename T>

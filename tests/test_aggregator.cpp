@@ -36,19 +36,13 @@ TEST(CommMode, ParseAndPrintRoundTrip) {
 TEST(AggChannel, RejectsBadConfig) {
   auto g = LocaleGrid::square(4, 1);
   LocaleCtx ctx(g, 0);
-  AggConfig bad_cap;
-  bad_cap.capacity = 0;
-  EXPECT_THROW(AggChannel(ctx, bad_cap), InvalidArgument);
-  AggConfig bad_cont;
-  bad_cont.contention = 0.5;
-  EXPECT_THROW(AggChannel(ctx, bad_cont), InvalidArgument);
+  EXPECT_THROW(AggChannel(ctx, 0), InvalidArgument);
+  EXPECT_THROW(AggChannel(ctx, kAggCapacity, 0.5), InvalidArgument);
 }
 
 TEST(DstAggregator, CapacityTriggersFlushesOfFullBuffers) {
   auto g = LocaleGrid::square(4, 1);
   LocaleCtx ctx(g, 0);
-  AggConfig cfg;
-  cfg.capacity = 4;
   std::vector<std::size_t> batch_sizes;
   std::vector<int> received;
   DstAggregator<int> agg(
@@ -57,7 +51,7 @@ TEST(DstAggregator, CapacityTriggersFlushesOfFullBuffers) {
         batch_sizes.push_back(batch.size());
         for (int v : batch) received.push_back(v);
       },
-      cfg);
+      /*capacity=*/4);
   for (int i = 0; i < 10; ++i) agg.push(1, i);
   // Two capacity-triggered flushes so far; two elements still buffered.
   EXPECT_EQ(batch_sizes, (std::vector<std::size_t>{4, 4}));
@@ -120,10 +114,8 @@ TEST(DstAggregator, SelfPeerFlushesAreFreeAndCountedSeparately) {
 TEST(DstAggregator, StatsCountMessagesAndBytes) {
   auto g = LocaleGrid::square(4, 1);
   LocaleCtx ctx(g, 0);
-  AggConfig cfg;
-  cfg.capacity = 8;
   DstAggregator<std::int64_t> agg(ctx, [](int, std::vector<std::int64_t>&) {},
-                                  cfg);
+                                  /*capacity=*/8);
   for (int i = 0; i < 16; ++i) agg.push(1, i);  // exactly two full flushes
   agg.flush_all();
   const auto& s = agg.stats();
@@ -141,16 +133,13 @@ TEST(SrcAggregator, BufferedGetsResolveAgainstPeerData) {
   auto g = LocaleGrid::square(4, 1);
   LocaleCtx ctx(g, 0);
   // "Remote" table on peer 1: value = 10 * key.
-  AggConfig cfg;
-  cfg.capacity = 3;
-  cfg.resp_bytes_each = 8;
   std::vector<int> results;
   SrcAggregator<int> agg(
       ctx,
       [&](int /*peer*/, std::vector<int>& batch) {
         for (int k : batch) results.push_back(10 * k);
       },
-      cfg);
+      /*capacity=*/3, /*contention=*/1.0, /*resp_bytes_each=*/8);
   for (int k = 0; k < 7; ++k) agg.get(1, k);
   agg.flush_all();
   EXPECT_EQ(results, (std::vector<int>{0, 10, 20, 30, 40, 50, 60}));
@@ -165,9 +154,7 @@ TEST(SrcAggregator, BufferedGetsResolveAgainstPeerData) {
 TEST(AggChannel, GetElemsChunksByCapacity) {
   auto g = LocaleGrid::square(4, 1);
   LocaleCtx ctx(g, 0);
-  AggConfig cfg;
-  cfg.capacity = 100;
-  AggChannel chan(ctx, cfg);
+  AggChannel chan(ctx, /*capacity=*/100);
   chan.get_elems(1, 250, 16);
   chan.drain();
   EXPECT_EQ(chan.stats().pushed, 250);
@@ -186,7 +173,7 @@ TEST(AggChannel, DoubleBufferingOverlapsTransferWithCompute) {
   const std::int64_t bytes = 1 << 20;
   auto g = LocaleGrid::square(4, 1);
   LocaleCtx ctx(g, 0);
-  AggChannel chan(ctx, AggConfig{});
+  AggChannel chan(ctx, kAggCapacity);
   const auto& net = g.net();
   const bool intra = g.same_node(0, 1);
   const double payload = net.bulk(bytes, intra, g.colocated());
@@ -207,7 +194,7 @@ TEST(AggChannel, DoubleBufferingOverlapsTransferWithCompute) {
 TEST(AggChannel, DrainIsIdempotentAndJoinsTheTail) {
   auto g = LocaleGrid::square(4, 1);
   LocaleCtx ctx(g, 0);
-  AggChannel chan(ctx, AggConfig{});
+  AggChannel chan(ctx, kAggCapacity);
   chan.flush_put(1, 1 << 20);
   const double before = g.clock(0).now();
   chan.drain();
@@ -240,13 +227,13 @@ using Deliveries = std::vector<std::pair<int, std::vector<int>>>;
 /// SrcAggregator (gets) on `ctx`, then flush_all(). Returns every
 /// delivery in order; `early` counts those made before flush_all().
 template <template <typename> class Agg>
-Deliveries push_all(LocaleCtx& ctx, const AggConfig& cfg,
+Deliveries push_all(LocaleCtx& ctx, std::int64_t capacity,
                     const std::vector<int>& peers, std::size_t& early,
                     AggregatorStats& stats) {
   Deliveries got;
   Agg<int> agg(
       ctx, [&](int peer, std::vector<int>& b) { got.emplace_back(peer, b); },
-      cfg);
+      capacity);
   for (std::size_t i = 0; i < peers.size(); ++i) {
     if constexpr (std::is_same_v<Agg<int>, DstAggregator<int>>) {
       agg.push(peers[i], static_cast<int>(i));
@@ -260,17 +247,18 @@ Deliveries push_all(LocaleCtx& ctx, const AggConfig& cfg,
   return got;
 }
 
-/// Issues `flushes` directly on an AggChannel, in the given order.
-AggregatorStats replay_on_channel(LocaleCtx& ctx, const AggConfig& cfg,
+/// Issues `flushes` directly on an AggChannel, in the given order; a get
+/// flush carries SrcAggregator's default 8 response bytes per request.
+AggregatorStats replay_on_channel(LocaleCtx& ctx, std::int64_t capacity,
                                   std::size_t pushes,
                                   const Deliveries& flushes, bool gets) {
-  AggChannel chan(ctx, cfg);
+  AggChannel chan(ctx, capacity);
   for (std::size_t i = 0; i < pushes; ++i) chan.count_push();
   for (const auto& [peer, batch] : flushes) {
     const auto n = static_cast<std::int64_t>(batch.size());
     const auto bytes = n * static_cast<std::int64_t>(sizeof(int));
     if (gets) {
-      chan.flush_get(peer, bytes, n * cfg.resp_bytes_each, n);
+      chan.flush_get(peer, bytes, n * 8, n);
     } else {
       chan.flush_put(peer, bytes, n);
     }
@@ -282,8 +270,7 @@ AggregatorStats replay_on_channel(LocaleCtx& ctx, const AggConfig& cfg,
 template <template <typename> class Agg>
 void expect_order_kept_at_scale(bool gets) {
   constexpr int kSelf = 512;
-  AggConfig cfg;
-  cfg.capacity = 3;
+  constexpr std::int64_t kCapacity = 3;
   // Descending, then interleaved, including the self peer; peer 40's
   // third element (value 10) fills its buffer and flushes it early.
   const std::vector<int> peers = {1023, 900, kSelf, 40, 0,  0, 1023,
@@ -303,7 +290,7 @@ void expect_order_kept_at_scale(bool gets) {
   LocaleCtx ctx(g, kSelf);
   std::size_t early = 0;
   AggregatorStats stats;
-  const Deliveries got = push_all<Agg>(ctx, cfg, peers, early, stats);
+  const Deliveries got = push_all<Agg>(ctx, kCapacity, peers, early, stats);
   EXPECT_EQ(got, expected);
   EXPECT_EQ(early, 1u);
 
@@ -312,7 +299,7 @@ void expect_order_kept_at_scale(bool gets) {
   auto ref = LocaleGrid::square(1024, 1);
   LocaleCtx ref_ctx(ref, kSelf);
   const AggregatorStats want =
-      replay_on_channel(ref_ctx, cfg, peers.size(), expected, gets);
+      replay_on_channel(ref_ctx, kCapacity, peers.size(), expected, gets);
   EXPECT_EQ(g.clock(kSelf).now(), ref.clock(kSelf).now());
   EXPECT_EQ(stats.pushed, want.pushed);
   EXPECT_EQ(stats.flushes, want.flushes);
@@ -378,7 +365,7 @@ TEST(CommModeEquivalence, SpmspvBitIdenticalAcrossSchedules) {
   const auto sr = arithmetic_semiring<double>();
 
   SpmspvOptions opt;
-  opt.agg.capacity = 32;  // force many mid-stream flushes
+  opt.agg_capacity = 32;  // force many mid-stream flushes
   auto y_fine = spmspv_dist(a, x, sr, opt.with_comm(CommMode::kFine));
   auto y_bulk = spmspv_dist(a, x, sr, opt.with_comm(CommMode::kBulk));
   auto y_agg = spmspv_dist(a, x, sr, opt.with_comm(CommMode::kAggregated));
@@ -395,9 +382,7 @@ TEST(CommModeEquivalence, AssignIndexedIdenticalAcrossSchedules) {
 
   auto run = [&](CommMode m) {
     auto a = random_dist_sparse_vec<double>(grid, n, 60, 4);
-    AggConfig cfg;
-    cfg.capacity = 16;
-    assign_indexed(a, map, b, OutputMode::kMerge, m, cfg);
+    assign_indexed(a, map, b, OutputMode::kMerge, m, /*agg_capacity=*/16);
     return a.to_local();
   };
   auto fine = run(CommMode::kFine);
@@ -413,11 +398,10 @@ TEST(CommModeEquivalence, ExtractIndexedIdenticalAcrossSchedules) {
   for (std::size_t k = 0; k < map.size(); ++k) {
     map[k] = static_cast<Index>((k * 131 + 17) % n);
   }
-  AggConfig cfg;
-  cfg.capacity = 16;
-  auto fine = extract_indexed(a, map, CommMode::kFine, cfg);
-  auto bulk = extract_indexed(a, map, CommMode::kBulk, cfg);
-  auto agg = extract_indexed(a, map, CommMode::kAggregated, cfg);
+  const std::int64_t cap = 16;
+  auto fine = extract_indexed(a, map, CommMode::kFine, cap);
+  auto bulk = extract_indexed(a, map, CommMode::kBulk, cap);
+  auto agg = extract_indexed(a, map, CommMode::kAggregated, cap);
   expect_identical(fine.to_local(), bulk.to_local());
   expect_identical(fine.to_local(), agg.to_local());
 }
@@ -426,11 +410,10 @@ TEST(CommModeEquivalence, ExtractCompactIdenticalAcrossSchedules) {
   const Index n = 800;
   auto grid = LocaleGrid::square(6, 2);
   auto x = random_dist_sparse_vec<double>(grid, n, 200, 5);
-  AggConfig cfg;
-  cfg.capacity = 8;
-  auto fine = extract_compact(x, 100, 700, CommMode::kFine, cfg);
-  auto bulk = extract_compact(x, 100, 700, CommMode::kBulk, cfg);
-  auto agg = extract_compact(x, 100, 700, CommMode::kAggregated, cfg);
+  const std::int64_t cap = 8;
+  auto fine = extract_compact(x, 100, 700, CommMode::kFine, cap);
+  auto bulk = extract_compact(x, 100, 700, CommMode::kBulk, cap);
+  auto agg = extract_compact(x, 100, 700, CommMode::kAggregated, cap);
   EXPECT_EQ(fine.capacity(), 600);
   expect_identical(fine.to_local(), bulk.to_local());
   expect_identical(fine.to_local(), agg.to_local());
@@ -443,7 +426,7 @@ TEST(CommModeEquivalence, BfsIdenticalAcrossSchedules) {
   auto run = [&](CommMode m) {
     SpmspvOptions opt;
     opt.comm = m;
-    opt.agg.capacity = 32;
+    opt.agg_capacity = 32;
     return bfs(a, 0, opt);
   };
   auto fine = run(CommMode::kFine);
@@ -459,7 +442,7 @@ TEST(CommModeEquivalence, SsspIdenticalAcrossSchedules) {
   auto run = [&](CommMode m) {
     SpmspvOptions opt;
     opt.comm = m;
-    opt.agg.capacity = 32;
+    opt.agg_capacity = 32;
     return sssp(a, 0, opt);
   };
   auto fine = run(CommMode::kFine);

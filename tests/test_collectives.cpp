@@ -117,8 +117,7 @@ TEST(CollectiveSpmspvModel, CollectivesBeatEvenBulk) {
   const double fine = grid.time();
 
   SpmspvOptions bulk;
-  bulk.bulk_gather = true;
-  bulk.bulk_scatter = true;
+  bulk.comm = CommMode::kBulk;
   grid.reset();
   spmspv_dist(a, x, sr, bulk);
   const double t_bulk = grid.time();

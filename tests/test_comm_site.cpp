@@ -106,8 +106,6 @@ LocaleGrid make_grid(const Shape& s) {
 struct Variant {
   const char* name;
   CommMode comm;
-  bool bulk_gather = false;
-  bool bulk_scatter = false;
   bool collectives = false;
 };
 const std::vector<Variant> kModes = {{"fine", CommMode::kFine},
@@ -118,8 +116,6 @@ const std::vector<Variant> kModes = {{"fine", CommMode::kFine},
 SpmspvOptions options(const Variant& v) {
   SpmspvOptions opt;
   opt.comm = v.comm;
-  opt.bulk_gather = v.bulk_gather;
-  opt.bulk_scatter = v.bulk_scatter;
   opt.use_collectives = v.collectives;
   return opt;
 }
@@ -218,18 +214,14 @@ std::uint64_t run_multi(LocaleGrid& g, const Variant& v, bool degraded) {
 
 TEST(CommSiteGolden, SpmspvDist) {
   std::vector<Variant> variants = kModes;
-  variants.push_back({"bulk_gather_only", CommMode::kFine, true, false});
-  variants.push_back({"bulk_scatter_only", CommMode::kFine, false, true});
-  variants.push_back({"coll_fine", CommMode::kFine, false, false, true});
-  variants.push_back({"coll_agg", CommMode::kAggregated, false, false, true});
-  variants.push_back({"coll_auto", CommMode::kAuto, false, false, true});
+  variants.push_back({"coll_fine", CommMode::kFine, true});
+  variants.push_back({"coll_agg", CommMode::kAggregated, true});
+  variants.push_back({"coll_auto", CommMode::kAuto, true});
   const Golden golden = {
       {"4x4/fine", 0xa980e7c27a8a0b30ull},
       {"4x4/bulk", 0xaa38ef15e65dc4b2ull},
       {"4x4/agg", 0xd3ce1f2a16f4828cull},
       {"4x4/auto", 0xb5278f8092f357e6ull},
-      {"4x4/bulk_gather_only", 0xc01a7499fb901477ull},
-      {"4x4/bulk_scatter_only", 0x0b91d6e8c152a485ull},
       {"4x4/coll_fine", 0xd7b30d026378b8c1ull},
       {"4x4/coll_agg", 0xd7b30d026378b8c1ull},
       {"4x4/coll_auto", 0x9a59d1f62a7d7362ull},
@@ -237,8 +229,6 @@ TEST(CommSiteGolden, SpmspvDist) {
       {"2x8/bulk", 0x15d6743369f731ecull},
       {"2x8/agg", 0xdc91ab69082c4772ull},
       {"2x8/auto", 0x4a8d212d08b43293ull},
-      {"2x8/bulk_gather_only", 0x177a03ae7b041e68ull},
-      {"2x8/bulk_scatter_only", 0x6b0c45cc7aa5c625ull},
       {"2x8/coll_fine", 0xa6466ab849500090ull},
       {"2x8/coll_agg", 0xa6466ab849500090ull},
       {"2x8/coll_auto", 0x4a5a0e5a8cbe78c0ull},
@@ -757,7 +747,7 @@ TEST(RunLengthCharges, PushCountMatchesSinglePushes) {
                          .bytes_each = 16,
                          .fanout = g.rows(),
                          .collective = rc.collective},
-                        mode, AggConfig{.capacity = cap},
+                        mode, cap,
                         [](SiteFootprint&) {});
           const int n = g.num_locales();
           if (counted) {
@@ -796,10 +786,9 @@ TEST(RunLengthCharges, PutCountsMatchDstAggregator) {
         obs::TraceSession session(/*detail=*/true);
         g.set_trace_session(&session);
         if (rc.remap) g.remap_locale(5, 4);
-        const AggConfig cfg{.capacity = cap};
         LocaleCtx ctx(g, 4);
         if (counted) {
-          PutCounts agg(ctx, cfg, sizeof(Elem16));
+          PutCounts agg(ctx, cap, /*contention=*/1.0, sizeof(Elem16));
           for (const auto& [peer, k] : rc.runs(4, g.num_locales())) {
             agg.push(peer, k);
           }
@@ -807,7 +796,7 @@ TEST(RunLengthCharges, PutCountsMatchDstAggregator) {
           stats = agg.stats();
         } else {
           DstAggregator<Elem16> agg(ctx, [](int, std::vector<Elem16>&) {},
-                                    cfg);
+                                    cap);
           for (const auto& [peer, k] : rc.runs(4, g.num_locales())) {
             for (std::int64_t i = 0; i < k; ++i) agg.push(peer, {});
           }

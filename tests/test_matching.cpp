@@ -46,8 +46,7 @@ TEST_P(MatchingGrids, CommModesAgreeOnValidity) {
   auto grid = LocaleGrid::square(GetParam(), 2);
   auto a = erdos_renyi_dist<std::int64_t>(grid, 300, 4.0, 23);
   SpmspvOptions bulk;
-  bulk.bulk_gather = true;
-  bulk.bulk_scatter = true;
+  bulk.comm = CommMode::kBulk;
   auto res = bipartite_matching(a, bulk);
   check_matching(a.to_local(), res);
 }

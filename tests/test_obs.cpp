@@ -379,10 +379,8 @@ TEST(MetricsWiring, CommStatsEqualsRegistryAcrossSchedules) {
 TEST(MetricsWiring, AggregatorPublishesOccupancyAndBytes) {
   auto g = LocaleGrid::square(4, 1);
   LocaleCtx ctx(g, 0);
-  AggConfig cfg;
-  cfg.capacity = 8;
   DstAggregator<std::int64_t> agg(ctx, [](int, std::vector<std::int64_t>&) {},
-                                  cfg);
+                                  /*capacity=*/8);
   for (int i = 0; i < 16; ++i) agg.push(1, i);
   agg.flush_all();
   const MetricsSnapshot snap = g.metrics().snapshot();
@@ -487,7 +485,7 @@ TEST(LazyMetrics, PathsAndAggFamilyRegisterOnFirstUse) {
   EXPECT_EQ(registry_keys(g),
             sorted_union(kGridKeys, {"comm.messages{path=bulk}",
                                      "comm.messages{path=msgs}"}));
-  { AggChannel chan(ctx, AggConfig{}); }
+  { AggChannel chan(ctx, kAggCapacity); }
   EXPECT_EQ(registry_keys(g),
             sorted_union(kGridKeys,
                          {"agg.bytes", "agg.messages",

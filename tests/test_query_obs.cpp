@@ -288,8 +288,8 @@ TEST(ServiceEventLogTest, TypedRejectionsAndBreakerTransitionsLogged) {
   auto grid = LocaleGrid::square(4, 4);
   ServiceConfig cfg;
   cfg.queue_depth = 1;
-  cfg.breaker_k = 2;
-  cfg.breaker_cooldown_s = 0.05;
+  cfg.governor.breaker_k = 2;
+  cfg.governor.breaker_cooldown_s = 0.05;
   GraphService svc(grid, cfg);
   ServiceEventLog elog;
   svc.set_event_log(&elog);
@@ -304,7 +304,7 @@ TEST(ServiceEventLogTest, TypedRejectionsAndBreakerTransitionsLogged) {
   }
   // K queue-full failures trip the breaker; the remaining submits are
   // throttled rejections — every typed rejection gets a log line.
-  ASSERT_GE(full, cfg.breaker_k);
+  ASSERT_GE(full, cfg.governor.breaker_k);
   ASSERT_GT(throttled, 0);
   EXPECT_EQ(elog.count("reject"), full + throttled);
   EXPECT_GE(elog.count("breaker"), 1);

@@ -585,7 +585,7 @@ struct CommBody {
     ctx.parallel_region(c);
     if (!channels || l % 2 == 0) return;
     {
-      AggChannel chan(ctx, AggConfig{.capacity = 4});
+      AggChannel chan(ctx, /*capacity=*/4);
       chan.flush_put((l + 2) % n, 128, 8);
       chan.flush_get((l + 3) % n, 64, 512, 8);
       chan.get_elems((l + 6) % n, 11, 16);
@@ -593,7 +593,7 @@ struct CommBody {
       chan.drain();
     }
     DstAggregator<int> puts(ctx, [](int, std::vector<int>&) {},
-                            AggConfig{.capacity = 3});
+                            /*capacity=*/3);
     for (int i = 0; i < 10; ++i) puts.push((l + i) % n, i);
     std::int64_t sum = 0;
     SrcAggregator<int> gets(
@@ -601,11 +601,11 @@ struct CommBody {
         [&](int peer, std::vector<int>& batch) {
           for (int r : batch) sum += peer * 100 + r;
         },
-        AggConfig{.capacity = 2});
+        /*capacity=*/2);
     for (int i = 0; i < 5; ++i) gets.get((l + 2 * i) % n, i);
     gets.flush_all();
     puts.flush_all();
-    PutCounts counts(ctx, AggConfig{.capacity = 5}, 24);
+    PutCounts counts(ctx, /*capacity=*/5, /*contention=*/1.0, 24);
     counts.push((l + 4) % n, 12);
     counts.push((l + 1) % n, 3);
     counts.flush_all();

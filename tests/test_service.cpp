@@ -686,8 +686,8 @@ TEST(ResilienceTest, QueueFullCarriesRetryAfterHint) {
 TEST(ResilienceTest, TokenBucketQuotaThrottlesAndRefills) {
   auto grid = LocaleGrid::square(4, 2);
   ServiceConfig cfg;
-  cfg.tenant_quota_qps = 10.0;
-  cfg.tenant_quota_burst = 2.0;
+  cfg.governor.quota_qps = 10.0;
+  cfg.governor.quota_burst = 2.0;
   GraphService svc(grid, cfg);
   const auto h = svc.store().load(make_graph(grid, 300, 4.0, 1));
 
@@ -716,8 +716,8 @@ TEST(ResilienceTest, BreakerTripsOpensThenHalfOpenProbeCloses) {
   auto grid = LocaleGrid::square(4, 2);
   ServiceConfig cfg;
   cfg.queue_depth = 1;
-  cfg.breaker_k = 2;
-  cfg.breaker_cooldown_s = 0.05;
+  cfg.governor.breaker_k = 2;
+  cfg.governor.breaker_cooldown_s = 0.05;
   GraphService svc(grid, cfg);
   const auto h = svc.store().load(make_graph(grid, 300, 4.0, 1));
 

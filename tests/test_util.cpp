@@ -1,5 +1,5 @@
-// Unit tests for src/util: RNG determinism, sorting kernels, prefix sums,
-// bit vectors, the FNV-1a step, the CLI parser and the table printer.
+// Unit tests for src/util: RNG determinism, sorting kernels, bit vectors,
+// the FNV-1a step, the CLI parser and the table printer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/fnv.hpp"
-#include "util/prefix_sum.hpp"
 #include "util/rng.hpp"
 #include "util/sorting.hpp"
 #include "util/table.hpp"
@@ -146,42 +145,11 @@ TEST(Sorting, SortedUnionMergesWithoutDuplicates) {
   EXPECT_EQ(sorted_union(a, b), (std::vector<std::int64_t>{1, 2, 3, 5, 6}));
 }
 
-TEST(Sorting, SortedIntersection) {
-  std::vector<std::int64_t> a{1, 3, 5, 7};
-  std::vector<std::int64_t> b{3, 4, 7};
-  EXPECT_EQ(sorted_intersection(a, b), (std::vector<std::int64_t>{3, 7}));
-}
-
 TEST(Sorting, UnionWithEmpty) {
   std::vector<std::int64_t> a{1, 2};
   std::vector<std::int64_t> none;
   EXPECT_EQ(sorted_union(a, none), a);
   EXPECT_EQ(sorted_union(none, a), a);
-  EXPECT_TRUE(sorted_intersection(none, a).empty());
-}
-
-TEST(PrefixSum, ExclusiveScanBasics) {
-  std::vector<std::int64_t> v{1, 2, 3, 4};
-  std::vector<std::int64_t> out(4);
-  EXPECT_EQ(exclusive_scan(v, out), 10);
-  EXPECT_EQ(out, (std::vector<std::int64_t>{0, 1, 3, 6}));
-}
-
-TEST(PrefixSum, ExclusiveScanAliasesInput) {
-  std::vector<std::int64_t> v{5, 5, 5};
-  EXPECT_EQ(exclusive_scan(v, v), 15);
-  EXPECT_EQ(v, (std::vector<std::int64_t>{0, 5, 10}));
-}
-
-TEST(PrefixSum, InclusiveScanInPlace) {
-  std::vector<std::int64_t> v{1, 1, 1, 1};
-  EXPECT_EQ(inclusive_scan_inplace(v), 4);
-  EXPECT_EQ(v, (std::vector<std::int64_t>{1, 2, 3, 4}));
-}
-
-TEST(PrefixSum, EmptyInput) {
-  std::vector<std::int64_t> v;
-  EXPECT_EQ(inclusive_scan_inplace(v), 0);
 }
 
 TEST(BitVector, SetGetClear) {

@@ -188,7 +188,7 @@ int run(int argc, char** argv) {
 
   SpmspvOptions comm;
   comm.comm = parse_comm_mode(comm_flag);
-  comm.agg.capacity = agg_capacity;
+  comm.agg_capacity = agg_capacity;
   comm.straggler_shed = shed;
   if (straggler_ms > 0.0) {
     grid.set_straggler_threshold(straggler_ms * 1e-3);

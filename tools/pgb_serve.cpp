@@ -349,10 +349,7 @@ int run(int argc, char** argv) {
   cfg.queue_depth = queue_depth;
   cfg.batch_max = batch_max;
   cfg.spmspv.comm = parse_comm_mode(comm_flag);
-  cfg.tenant_quota_qps = quota;
-  cfg.tenant_quota_burst = quota_burst;
-  cfg.breaker_k = breaker_k;
-  cfg.breaker_cooldown_s = breaker_cooldown_ms * 1e-3;
+  cfg.governor = {quota, quota_burst, breaker_k, breaker_cooldown_ms * 1e-3};
   cfg.retry_floor_s = retry_floor_ms * 1e-3;
   cfg.compact_watermark = watermark;
   if (plan.has_value()) {
